@@ -36,7 +36,7 @@
 
 #include "frontend/registry.h"
 #include "obs/metrics.h"
-#include "svc/proof_cache.h"
+#include "svc/store.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
 #include "verify/pipeline.h"
@@ -75,10 +75,10 @@ int main(int argc, char** argv) {
       jobs > 0 ? jobs : util::ThreadPool::hardware_workers();
   const int workers = opts.schema.workers > 0 ? opts.schema.workers : 1;
 
-  std::optional<svc::ProofCache> cache;
+  std::optional<svc::DurableStore> store;
   if (!cache_dir.empty()) {
-    cache.emplace(cache_dir);
-    opts.cache = &*cache;
+    store.emplace(cache_dir);
+    opts.store = &*store;
   }
 
   try {
@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
       // enumeration worker w of every obligation's check_spec call;
       // max/mean of 1.0 is perfectly balanced, `workers` is one worker
       // holding everything. Diagnostic — the rows above are byte-identical
-      // at any width or dispatch mode.
+      // at any width.
       auto imbalance = [&](long long schema::CheckResult::WorkerStat::*f) {
         long long mx = 0, total = 0;
         for (const auto& s : slots) {
@@ -153,8 +153,8 @@ int main(int argc, char** argv) {
                 << imbalance(&schema::CheckResult::WorkerStat::pivots)
                 << "\n";
     }
-    if (cache) {
-      const svc::CacheStats cs = cache->stats();
+    if (store) {
+      const svc::CacheStats cs = store->cache().stats();
       std::cout << "\nproof cache (" << cache_dir << "): " << cs.hits
                 << " hits, " << cs.misses << " misses, " << cs.stores
                 << " stores";

@@ -28,8 +28,7 @@
 #include "obs/trace.h"
 #include "sim/attack.h"
 #include "svc/client.h"
-#include "svc/journal.h"
-#include "svc/proof_cache.h"
+#include "svc/store.h"
 #include "svc/server.h"
 #include "util/cancel.h"
 #include "util/fault.h"
@@ -84,9 +83,6 @@ int usage(std::ostream& os, int code) {
         "                     (partitioned schema enumeration; default 1,\n"
         "                     0 = all cores; reports are byte-identical for\n"
         "                     every jobs x workers combination)\n"
-        "  --static-partition dispatch subtree units by static round-robin\n"
-        "                     instead of the claim index (reference mode;\n"
-        "                     reports are byte-identical either way)\n"
         "  --sweep a,b,...    override sweep instances (repeatable)\n"
         "  --replay-ce        verify: replay every schema counterexample\n"
         "                     through the concretization engine (src/replay)\n"
@@ -176,7 +172,6 @@ struct Args {
   double time_budget = 0;      // 0: keep the pipeline default
   int jobs = 0;                // 0: one worker per hardware thread
   int workers = -1;            // -1: keep the pipeline default (1)
-  bool static_partition = false;  // --static-partition: reference dispatch
   long long max_rss_mb = 0;       // --max-rss-mb: RSS watchdog (0 = off)
   double obligation_timeout = 0;  // --obligation-timeout (0 = off)
   std::vector<std::string> fault_inject;  // --fault-inject plans (repeatable)
@@ -224,8 +219,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       args.replay_ce = true;
     } else if (a == "--progress") {
       args.progress = true;
-    } else if (a == "--static-partition") {
-      args.static_partition = true;
     } else if (a == "--resume") {
       args.resume = true;
     } else if (a == "--specs") {
@@ -483,7 +476,6 @@ ctaver::verify::Options base_options(const Args& args) {
         args.workers == 0 ? ctaver::util::ThreadPool::hardware_workers()
                           : args.workers;
   }
-  opts.schema.static_assignment = args.static_partition;
   opts.schema.max_rss_mb = args.max_rss_mb;
   opts.obligation_timeout_s = args.obligation_timeout;
   if (args.max_states > 0) opts.max_states = args.max_states;
@@ -526,11 +518,17 @@ int cmd_verify(const ProtocolRegistry& registry, const Args& args,
   opts.only_obligations = args.only_obligations;
   // --cache-dir: verdicts proved in this run land in the on-disk proof
   // cache; obligations whose keys are already present replay byte-
-  // identically without proving anything.
-  std::optional<ctaver::svc::ProofCache> cache;
+  // identically without proving anything. The crash-safety journal lives
+  // beside the proofs (see src/svc/store.h).
+  std::optional<ctaver::svc::DurableStore> store;
   if (!args.cache_dir.empty()) {
-    cache.emplace(args.cache_dir);
-    opts.cache = &*cache;
+    store.emplace(args.cache_dir);
+    std::string err;
+    if (!store->open_journal(&err)) {
+      std::cerr << "ctaver: journal: " << err
+                << " (continuing without crash-safety)\n";
+      if (args.resume) return 2;
+    }
   } else if (args.resume) {
     std::cerr << "ctaver: --resume needs --cache-dir (the journal and the "
                  "proofs it references live there)\n";
@@ -543,24 +541,13 @@ int cmd_verify(const ProtocolRegistry& registry, const Args& args,
     models.push_back(resolve_with_sweeps(registry, args, spec));
   }
 
-  // Crash-safety journal: every run under --cache-dir appends run-start /
-  // per-obligation / run-end records (fsync'd, checksummed — see
-  // src/svc/journal.h). --resume additionally checks the journal for an
-  // unfinished run of the SAME identity before re-proving: the obligations
-  // it journaled as durable replay from the cache, so the resumed report is
-  // byte-identical to an uninterrupted one.
-  std::optional<ctaver::svc::Journal> journal;
-  std::string run_id;
-  if (cache) {
-    journal.emplace(args.cache_dir);
-    if (!journal->ok()) {
-      std::cerr << "ctaver: journal: " << journal->error()
-                << " (continuing without crash-safety)\n";
-      journal.reset();
-      if (args.resume) return 2;
-    }
-  }
-  if (journal) {
+  // Every run under --cache-dir journals run-start / per-obligation /
+  // run-end records (fsync'd, checksummed — see src/svc/journal.h).
+  // --resume additionally checks the journal for an unfinished run of the
+  // SAME identity before re-proving: the obligations it journaled as
+  // durable replay from the cache, so the resumed report is byte-identical
+  // to an uninterrupted one.
+  if (store && store->journal() != nullptr) {
     std::vector<ctaver::verify::ObligationKey> all_keys;
     std::string names;
     for (const ProtocolModel& pm : models) {
@@ -570,28 +557,15 @@ int cmd_verify(const ProtocolRegistry& registry, const Args& args,
       }
       names += (names.empty() ? "" : ",") + pm.name;
     }
-    run_id = ctaver::svc::journal_run_id(all_keys);
     if (args.resume) {
-      if (journal->run_started(run_id) && !journal->run_finished(run_id)) {
-        std::cerr << "ctaver: resuming run " << run_id.substr(0, 12) << ": "
-                  << journal->run_obligations(run_id).size() << " of "
-                  << all_keys.size()
-                  << " obligation(s) already durable; re-proving the rest\n";
-      } else if (journal->unfinished_runs() > 0) {
-        std::cerr << "ctaver: --resume: the journal's unfinished run was "
-                     "started with different specs or options (run id "
-                     "mismatch); re-run the original command line, or drop "
-                     "--resume to start over\n";
-        return 2;
-      } else {
-        std::cerr << "ctaver: --resume: no unfinished run in the journal; "
-                     "running cold\n";
-      }
+      std::string note;
+      bool ok = store->resume(all_keys, &note);
+      std::cerr << "ctaver: " << note << "\n";
+      if (!ok) return 2;
     }
-    journal->run_start(run_id, "verify", names, all_keys.size());
-    opts.journal = &*journal;
-    opts.journal_run = run_id;
+    store = store->begin_run(all_keys, "verify", names);
   }
+  if (store) opts.store = &*store;
 
   auto maybe_reports = run_protocols(
       models, args.jobs,
@@ -622,7 +596,7 @@ int cmd_verify(const ProtocolRegistry& registry, const Args& args,
   // be trustworthy (and CI fault-smoke assertions stay deterministic even on
   // protocols that also have a genuine counterexample).
   int code = any_error ? 3 : all_verified ? 0 : 1;
-  if (journal) journal->run_end(run_id, code);
+  if (store) store->end_run(code);
   return code;
 }
 
@@ -867,8 +841,7 @@ int cmd_serve(const Args& args) {
   // Restart recovery: report what the journal replayed — the proofs of the
   // journaled completions are in the cache, so an unfinished submission's
   // resubmission re-proves only what never landed durable.
-  if (const ctaver::svc::Journal* j = server.journal();
-      j != nullptr && j->ok()) {
+  if (const ctaver::svc::Journal* j = server.journal()) {
     const ctaver::svc::JournalStats& js = j->stats();
     if (js.replayed > 0 || js.truncated_bytes > 0) {
       std::cerr << "ctaver: journal recovered: " << js.replayed

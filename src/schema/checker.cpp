@@ -320,13 +320,21 @@ class Encoder {
     }
     if (res == Result::kUnsat || !spec) return std::nullopt;
 
-    // Shrink parameters for a readable report.
+    // Shrink parameters for a readable report. minimize() re-checks first,
+    // and a cancel that trips between the two checks (a sibling unit just
+    // recorded an earlier counterexample, or the budget ran out) leaves no
+    // model to read: that is this query's cancelled exit, like a kUnknown
+    // check above.
     if (opts_->minimize_ce) {
       LinExpr obj;
       for (lia::Var v : m.pv) obj += LinExpr::term(v);
       long long before = m.solver.total_pivots();
-      (void)m.solver.minimize(obj);
+      Result min = m.solver.minimize(obj);
       fresh_pivots_ += m.solver.total_pivots() - before;
+      if (min != Result::kSat) {
+        *unknown = true;
+        return std::nullopt;
+      }
     }
 
     Counterexample ce;
@@ -833,9 +841,8 @@ int first_witness_segment(const GuardTable& table,
 // CheckOptions::partition_depth: prefixes shorter than the split form the
 // serial *stem*, every surviving split-depth prefix roots one *unit*, and
 // workers claim units from a shared atomic cursor in canonical sibling
-// order, running each claimed unit to completion before claiming the next
-// (static round-robin ownership is kept behind CheckOptions::
-// static_assignment as the reference dispatcher). Each unit runs
+// order, running each claimed unit to completion before claiming the next.
+// Each unit runs
 // breadth-first with its own warm incremental solver — so its per-query
 // pivot counts depend only on the unit, never on which worker ran it or
 // what ran concurrently — and records per-level tallies. The merge then
@@ -843,7 +850,7 @@ int first_witness_segment(const GuardTable& table,
 // first counterexample in canonical order wins (an atomic min over
 // (depth, unit) keys lets doomed units stop early without ever influencing
 // the merged bytes). The result: CheckResult is byte-identical for every
-// `workers` value and either dispatcher, within budget.
+// `workers` value, within budget.
 // ---------------------------------------------------------------------------
 
 /// Canonical position of (depth, unit) in the level-major order; smaller is
@@ -1281,18 +1288,12 @@ CheckResult check_spec(const ta::System& sys, const spec::Spec& spec,
     // replayed), and the merge only consumes levels a unit is guaranteed to
     // have completed. A worker that runs ahead of a slower sibling can only
     // burn budget, never change the merged bytes (the merge is by-level).
-    // opts.static_assignment restores the round-robin ownership loop
-    // (worker w owns units w, w+workers, ..., advanced one level per sweep)
-    // as the reference dispatcher for the identity tests.
     int workers = opts.workers > 0 ? opts.workers
                                    : util::ThreadPool::hardware_workers();
     workers = std::min(workers, static_cast<int>(units.size()));
     CTAVER_LOG(kDebug) << "check_spec(" << spec.name << "): " << units.size()
                        << " subtree units at split depth " << split << ", "
-                       << workers << " enumeration worker(s), "
-                       << (opts.static_assignment ? "static round-robin"
-                                                  : "claim-index")
-                       << " dispatch";
+                       << workers << " enumeration worker(s)";
     std::vector<std::exception_ptr> errors(
         static_cast<std::size_t>(std::max(workers, 1)));
     result.per_worker.assign(static_cast<std::size_t>(std::max(workers, 1)),
@@ -1302,48 +1303,24 @@ CheckResult check_spec(const ta::System& sys, const spec::Spec& spec,
       CheckResult::WorkerStat& stat =
           result.per_worker[static_cast<std::size_t>(w)];
       try {
-        if (opts.static_assignment) {
-          std::vector<char> counted(units.size(), 0);
-          for (;;) {
-            bool any = false;
-            for (std::size_t i = static_cast<std::size_t>(w);
-                 i < units.size(); i += static_cast<std::size_t>(workers)) {
-              SubtreeRun& u = *units[i];
-              if (!u.active()) continue;
-              if (!counted[i]) {
-                counted[i] = 1;
-                ++stat.units;
-              }
-              u.advance_level();
-              any = any || u.active();
-            }
-            if (!any) break;
+        for (;;) {
+          const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+          if (i >= units.size()) break;
+          SubtreeRun& u = *units[i];
+          // CE-aware claim skip: a recorded best CE canonically before
+          // this unit's first level means the unit could only stop at its
+          // first poll() anyway — its whole subtree is outside every
+          // merge cutoff (best_ce shrinks monotonically, so the check
+          // never un-skips). Skipping at claim time saves adopting a warm
+          // solver for a doomed subtree without touching merged bytes.
+          if (cx.best_ce.load(std::memory_order_relaxed) <
+              order_key(split, u.index())) {
+            obs::add(obs::Counter::kSchemaClaimSkips);
+            continue;
           }
-          for (std::size_t i = static_cast<std::size_t>(w); i < units.size();
-               i += static_cast<std::size_t>(workers)) {
-            stat.pivots += units[i]->pivots_total();
-          }
-        } else {
-          for (;;) {
-            const std::size_t i =
-                cursor.fetch_add(1, std::memory_order_relaxed);
-            if (i >= units.size()) break;
-            SubtreeRun& u = *units[i];
-            // CE-aware claim skip: a recorded best CE canonically before
-            // this unit's first level means the unit could only stop at its
-            // first poll() anyway — its whole subtree is outside every
-            // merge cutoff (best_ce shrinks monotonically, so the check
-            // never un-skips). Skipping at claim time saves adopting a warm
-            // solver for a doomed subtree without touching merged bytes.
-            if (cx.best_ce.load(std::memory_order_relaxed) <
-                order_key(split, u.index())) {
-              obs::add(obs::Counter::kSchemaClaimSkips);
-              continue;
-            }
-            ++stat.units;
-            while (u.active()) u.advance_level();
-            stat.pivots += u.pivots_total();
-          }
+          ++stat.units;
+          while (u.active()) u.advance_level();
+          stat.pivots += u.pivots_total();
         }
       } catch (const util::Cancelled&) {
         // A Cancelled escaping a unit (e.g. an injected cancel) left some

@@ -219,14 +219,6 @@ struct CheckOptions {
   /// within budget. This extends the pipeline's per-obligation determinism
   /// guarantee to within-obligation parallelism.
   int workers = 0;
-  /// Dispatch of subtree units onto the enumeration workers. false (the
-  /// default) is the shared claim-index above: dynamic placement, but
-  /// byte-identical output because per-unit work is placement-independent
-  /// and the canonical merge only consumes levels every unit completes.
-  /// true restores the static `i += workers` round-robin ownership loop,
-  /// kept as the reference dispatcher for the claim-vs-static identity
-  /// tests and for A/B-ing scheduling imbalance (--static-partition).
-  bool static_assignment = false;
   /// Depth of the static partition split. Prefixes shorter than this form
   /// the serial "stem" (canonically first at every level); every surviving
   /// prefix of exactly this depth roots one subtree unit. Reports are

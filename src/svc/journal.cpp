@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -139,7 +140,7 @@ void Journal::recover() {
     } catch (const std::exception&) {
       break;
     }
-    replayed_.push_back(std::move(rec));
+    index(rec);
     ++stats_.replayed;
     pos = nl + 1;
     good_end = pos;
@@ -165,10 +166,10 @@ bool Journal::append(const std::string& payload) {
   if (ok) {
     ++stats_.appended;
     obs::add(obs::Counter::kJournalRecords);
-    // Mirror the durable record into the live view, so queries on this
-    // handle (the daemon's stats, a resume check) see it without a reopen.
+    // Index the durable record, so queries on this handle (the daemon's
+    // stats, a resume check) see it without a reopen.
     try {
-      live_.push_back(Json::parse(payload));
+      index(Json::parse(payload));
     } catch (const std::exception&) {
       // Not query-relevant then; the bytes are on disk regardless.
     }
@@ -203,66 +204,48 @@ void Journal::run_end(const std::string& run_id, int exit_code) {
   append(os.str());
 }
 
-bool Journal::scan_kind_run(const char* kind,
-                            const std::string& run_id) const {
-  for (const std::vector<Json>* recs : {&replayed_, &live_}) {
-    for (const Json& r : *recs) {
-      if (r.get("rec") == kind && r.get("run") == run_id) return true;
+void Journal::index(const Json& rec) {
+  const std::string kind = rec.get("rec");
+  if (kind != "run-start" && kind != "run-end" && kind != "obligation") {
+    return;
+  }
+  RunIndex& run = runs_[rec.get("run")];
+  if (kind == "run-start") {
+    run.started = true;
+  } else if (kind == "run-end") {
+    run.finished = true;
+  } else {
+    const std::string key = rec.get("key");
+    if (std::find(run.keys.begin(), run.keys.end(), key) == run.keys.end()) {
+      run.keys.push_back(key);
     }
   }
-  return false;
 }
 
 bool Journal::run_started(const std::string& run_id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return scan_kind_run("run-start", run_id);
+  auto it = runs_.find(run_id);
+  return it != runs_.end() && it->second.started;
 }
 
 bool Journal::run_finished(const std::string& run_id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return scan_kind_run("run-end", run_id);
+  auto it = runs_.find(run_id);
+  return it != runs_.end() && it->second.finished;
 }
 
 std::size_t Journal::unfinished_runs() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> open;  // distinct: a re-run re-starts the same id
-  for (const std::vector<Json>* recs : {&replayed_, &live_}) {
-    for (const Json& r : *recs) {
-      if (r.get("rec") != "run-start") continue;
-      const std::string run = r.get("run");
-      if (scan_kind_run("run-end", run)) continue;
-      bool seen = false;
-      for (const std::string& o : open) {
-        if (o == run) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) open.push_back(run);
-    }
-  }
-  return open.size();
+  std::size_t n = 0;
+  for (const auto& [id, run] : runs_) n += run.started && !run.finished;
+  return n;
 }
 
 std::vector<std::string> Journal::run_obligations(
     const std::string& run_id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> keys;
-  for (const std::vector<Json>* recs : {&replayed_, &live_}) {
-    for (const Json& r : *recs) {
-      if (r.get("rec") != "obligation" || r.get("run") != run_id) continue;
-      const std::string key = r.get("key");
-      bool seen = false;
-      for (const std::string& k : keys) {
-        if (k == key) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) keys.push_back(key);
-    }
-  }
-  return keys;
+  auto it = runs_.find(run_id);
+  return it != runs_.end() ? it->second.keys : std::vector<std::string>();
 }
 
 std::string journal_run_id(const std::vector<verify::ObligationKey>& keys) {

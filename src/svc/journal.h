@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "svc/json.h"
@@ -76,8 +77,6 @@ class Journal {
   [[nodiscard]] const std::string& error() const { return error_; }
   [[nodiscard]] const std::string& path() const { return path_; }
 
-  /// The records that survived the open-time scan, in file order.
-  [[nodiscard]] const std::vector<Json>& replayed() const { return replayed_; }
   [[nodiscard]] const JournalStats& stats() const { return stats_; }
 
   /// Appends one record (payload must be a single line, no '\n') under the
@@ -94,11 +93,12 @@ class Journal {
   void run_end(const std::string& run_id, int exit_code);
 
   // -- queries (over the replayed records PLUS this handle's appends, so a
-  // -- live daemon's view stays current; thread-safe) ----------------------
+  // -- live daemon's view stays current; thread-safe), answered from a
+  // -- per-run index built on replay and updated on append --------------
   [[nodiscard]] bool run_started(const std::string& run_id) const;
   [[nodiscard]] bool run_finished(const std::string& run_id) const;
-  /// run-start records with no matching run-end: the runs a crash cut
-  /// short (plus, on a live handle, runs currently in flight).
+  /// Distinct runs with a run-start record and no run-end: the runs a crash
+  /// cut short (plus, on a live handle, runs currently in flight).
   [[nodiscard]] std::size_t unfinished_runs() const;
   /// Distinct ProofCache keys journaled as durable completions of `run_id`.
   [[nodiscard]] std::vector<std::string> run_obligations(
@@ -108,15 +108,19 @@ class Journal {
 
  private:
   void recover();  // open-time scan; caller holds the file lock
-  /// Query core over replayed_ + live_; caller holds mu_.
-  [[nodiscard]] bool scan_kind_run(const char* kind,
-                                   const std::string& run_id) const;
+  /// Folds one intact record into runs_; caller holds mu_ (or is recover()).
+  void index(const Json& rec);
+
+  struct RunIndex {
+    bool started = false;
+    bool finished = false;
+    std::vector<std::string> keys;  // distinct, in first-journaled order
+  };
 
   int fd_ = -1;
   std::string path_;
   std::string error_;
-  std::vector<Json> replayed_;
-  std::vector<Json> live_;  // parsed records appended by this handle
+  std::unordered_map<std::string, RunIndex> runs_;
   JournalStats stats_;
   mutable std::mutex mu_;
 };

@@ -25,6 +25,7 @@
 #include <unordered_map>
 
 #include "schema/checker.h"
+#include "verify/pipeline.h"
 
 namespace ctaver::svc {
 
@@ -75,14 +76,7 @@ class ProofCache {
 // deliberately not stored: it is the one CheckResult field that varies with
 // scheduling and is never rendered into reports.
 
-/// Merged verdict of a sweep obligation (C1/C2'), as the pipeline's merge
-/// step leaves it on the Obligation.
-struct SweepVerdict {
-  bool holds = false;
-  bool complete = false;
-  std::string ce;
-  std::string detail;
-};
+using SweepVerdict = verify::SweepVerdict;
 
 std::string encode_check(const schema::CheckResult& r);
 std::optional<schema::CheckResult> decode_check(const std::string& payload);

@@ -35,7 +35,7 @@ const char* verdict_word(const verify::Obligation& o) {
 
 Server::Server(ServeOptions opts)
     : opts_(std::move(opts)),
-      cache_(opts_.cache_dir),
+      store_(opts_.cache_dir),
       registry_(frontend::ProtocolRegistry::with_builtins()),
       pool_(opts_.verify.jobs) {}
 
@@ -148,10 +148,9 @@ bool Server::start(std::string* err) {
   }
   // Restart recovery: replay the journal (its open truncates any torn
   // tail). The proofs of journaled completions are already in the cache —
-  // resubmission replays them byte-identically without re-proving.
-  if (!opts_.cache_dir.empty()) {
-    journal_ = std::make_unique<Journal>(opts_.cache_dir);
-  }
+  // resubmission replays them byte-identically without re-proving. A
+  // journal that cannot open leaves the daemon serving without it.
+  store_.open_journal(nullptr);
   return true;
 }
 
@@ -164,6 +163,7 @@ bool Server::should_stop() const {
 
 void Server::run() {
   while (!should_stop()) {
+    reap_connections();
     pollfd pfd{listen_fd_, POLLIN, 0};
     int rc = ::poll(&pfd, 1, 200);  // 200 ms: stop latency bound
     if (rc < 0) {
@@ -197,6 +197,26 @@ void Server::run() {
 }
 
 void Server::stop() { stopping_.store(true, std::memory_order_relaxed); }
+
+void Server::reap_connections() {
+  // A thread lists itself as done only after its last use of conn_mu_, so
+  // joining it here, under the lock, waits at most for its final close().
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  for (std::thread::id id : conn_done_) {
+    auto it = std::find_if(
+        conn_threads_.begin(), conn_threads_.end(),
+        [id](const std::thread& t) { return t.get_id() == id; });
+    if (it == conn_threads_.end()) continue;
+    it->join();
+    conn_threads_.erase(it);
+  }
+  conn_done_.clear();
+}
+
+std::size_t Server::connection_threads() const {
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  return conn_threads_.size();
+}
 
 /// Full write of `line` + '\n'. MSG_NOSIGNAL: a client that hung up turns
 /// into an error return, never a SIGPIPE. With a write deadline configured
@@ -284,6 +304,7 @@ void Server::serve_connection(int fd) {
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     conn_fds_.erase(std::find(conn_fds_.begin(), conn_fds_.end(), fd));
+    conn_done_.push_back(std::this_thread::get_id());
   }
   ::close(fd);
 }
@@ -337,7 +358,6 @@ bool Server::handle_submit(int fd, const protocols::ProtocolModel& pm) {
   }
 
   verify::Options base = opts_.verify;
-  base.cache = &cache_;
   // One budget per submission, shared by its per-obligation runs — the
   // submission's budget semantics match a single `ctaver verify`.
   schema::SharedBudget budget(base.schema.max_schemas,
@@ -353,18 +373,13 @@ bool Server::handle_submit(int fd, const protocols::ProtocolModel& pm) {
     return send_line(fd, "{\"event\":\"done\",\"exit\":2,\"row\":\"\"}");
   }
 
-  // Journal the submission: run-start now, one record per durable
-  // obligation at merge time (inside the per-obligation runs), run-end
-  // when the done event is about to go out. A daemon killed mid-submission
-  // leaves an unfinished run the restarted daemon reports; the completed
-  // obligations replay from the cache.
-  std::string run_id;
-  if (journal_ != nullptr && journal_->ok()) {
-    run_id = journal_run_id(keys);
-    journal_->run_start(run_id, "submit", pm.name, keys.size());
-    base.journal = journal_.get();
-    base.journal_run = run_id;
-  }
+  // One store run per submission: run-start now, one record per durable
+  // obligation inside the per-obligation runs, run-end when the done event
+  // is about to go out. A daemon killed mid-submission leaves an
+  // unfinished run the restarted daemon reports; the completed obligations
+  // replay from the cache.
+  DurableStore run_store = store_.begin_run(keys, "submit", pm.name);
+  base.store = &run_store;
 
   // Fan out one pipeline run per obligation on the shared pool, then
   // finish() them in canonical order: obligation k's verdict streams out as
@@ -429,7 +444,7 @@ bool Server::handle_submit(int fd, const protocols::ProtocolModel& pm) {
   int exit_code = err ? 3 : fail ? 1 : 0;
   // run-end lands before the done event: once the client has seen done,
   // the journal must already agree the run finished.
-  if (!run_id.empty()) journal_->run_end(run_id, exit_code);
+  run_store.end_run(exit_code);
   std::ostringstream done;
   done << "{\"event\":\"done\",\"protocol\":\"" << obs::json_escape(pm.name)
        << "\",\"exit\":" << exit_code << ",\"row\":\""
@@ -438,18 +453,18 @@ bool Server::handle_submit(int fd, const protocols::ProtocolModel& pm) {
 }
 
 bool Server::send_stats(int fd) {
-  CacheStats cs = cache_.stats();
+  CacheStats cs = store_.cache().stats();
   std::ostringstream os;
   os << "{\"event\":\"stats\",\"submissions\":"
      << submissions_.load(std::memory_order_relaxed)
      << ",\"cache\":{\"hits\":" << cs.hits << ",\"misses\":" << cs.misses
      << ",\"stores\":" << cs.stores << ",\"corrupt\":" << cs.corrupt << "}";
-  if (journal_ != nullptr && journal_->ok()) {
-    const JournalStats& js = journal_->stats();
+  if (const Journal* j = store_.journal()) {
+    const JournalStats& js = j->stats();
     os << ",\"journal\":{\"replayed\":" << js.replayed
        << ",\"truncated_bytes\":" << js.truncated_bytes
        << ",\"appended\":" << js.appended
-       << ",\"unfinished\":" << journal_->unfinished_runs() << "}";
+       << ",\"unfinished\":" << j->unfinished_runs() << "}";
   }
   os << ",\"metrics\":\""
      << obs::json_escape(obs::Registry::global().snapshot().to_json())

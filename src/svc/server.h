@@ -36,8 +36,7 @@
 #include <vector>
 
 #include "frontend/registry.h"
-#include "svc/journal.h"
-#include "svc/proof_cache.h"
+#include "svc/store.h"
 #include "util/thread_pool.h"
 #include "verify/pipeline.h"
 
@@ -51,7 +50,7 @@ struct ServeOptions {
   /// On-disk cache directory ("" = in-memory cache only).
   std::string cache_dir;
   /// Base pipeline options for every submission (budgets, sweeps, workers,
-  /// replay). `cache` and `schema.budget` are overwritten per submission;
+  /// replay). `store` and `schema.budget` are overwritten per submission;
   /// `jobs` sizes the shared pool (0 = hardware concurrency).
   verify::Options verify;
   /// External shutdown flag (the CLI's SIGTERM handler sets it; polled by
@@ -101,19 +100,25 @@ class Server {
   /// Requests shutdown (thread-safe; callable from another thread).
   void stop();
 
-  [[nodiscard]] ProofCache& cache() { return cache_; }
-  /// Restart-recovery journal (null without a cache dir). Opened by
-  /// start(): the scan truncates any torn tail and replays the records, so
-  /// journal()->unfinished_runs() right after start() is the number of
-  /// submissions a previous daemon's death cut short — their completed
-  /// obligations replay from the cache on resubmission.
-  [[nodiscard]] const Journal* journal() const { return journal_.get(); }
+  [[nodiscard]] ProofCache& cache() { return store_.cache(); }
+  /// Restart-recovery journal (null without a cache dir, or if it could not
+  /// be opened). Opened by start(): the scan truncates any torn tail and
+  /// replays the records, so journal()->unfinished_runs() right after
+  /// start() is the number of submissions a previous daemon's death cut
+  /// short — their completed obligations replay from the cache on
+  /// resubmission.
+  [[nodiscard]] const Journal* journal() const { return store_.journal(); }
   [[nodiscard]] std::uint64_t submissions() const {
     return submissions_.load(std::memory_order_relaxed);
   }
+  /// Connection threads not yet joined (the accept loop reaps finished
+  /// ones every poll round).
+  [[nodiscard]] std::size_t connection_threads() const;
 
  private:
   void serve_connection(int fd);
+  /// Joins the connection threads that have finished serving.
+  void reap_connections();
   /// Handles one request line; returns false when the connection should
   /// close (shutdown request or unwritable socket).
   bool handle_line(int fd, const std::string& line);
@@ -128,17 +133,17 @@ class Server {
   [[nodiscard]] bool should_stop() const;
 
   ServeOptions opts_;
-  ProofCache cache_;
+  DurableStore store_;
   frontend::ProtocolRegistry registry_;
   util::ThreadPool pool_;
-  std::unique_ptr<Journal> journal_;
   int listen_fd_ = -1;
   int pid_fd_ = -1;  // flock'd while this daemon owns the socket
   std::string pid_path_;
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> submissions_{0};
-  std::mutex conn_mu_;
+  mutable std::mutex conn_mu_;
   std::vector<std::thread> conn_threads_;
+  std::vector<std::thread::id> conn_done_;  // finished, awaiting reap
   std::vector<int> conn_fds_;  // open connection fds, for drain wakeup
 };
 

@@ -17,8 +17,6 @@
 #include "obs/trace.h"
 #include "replay/replay.h"
 #include "spec/spec.h"
-#include "svc/journal.h"
-#include "svc/proof_cache.h"
 #include "ta/transforms.h"
 #include "ta/validate.h"
 #include "util/fault.h"
@@ -234,16 +232,24 @@ ObligationError classify_error(const std::exception_ptr& ep) {
 // order they completed.
 // ---------------------------------------------------------------------------
 
+/// What the scheduler records around one task body (a parametric check or
+/// one sweep instance); see ProtocolRun::Impl::run_task.
+struct TaskRun {
+  /// The body ran at all (its result can still be missing when the budget
+  /// cancelled it mid-run — that distinction is Obligation::run_state).
+  bool started = false;
+  std::exception_ptr error;
+  /// This task's own TaskDeadline tripped (not the shared budget).
+  bool timed_out = false;
+  /// Scheduler-side wall time around the whole body; attributes even
+  /// budget-cancelled work (check_spec's own seconds die with the throw).
+  double seconds = 0.0;
+};
+
 struct SweepInstanceResult {
   enum class Status { kSkipped, kOk, kFail };
   Status status = Status::kSkipped;
-  /// The instance's check ran at all (status can still be kSkipped when the
-  /// budget cancelled it mid-run — that distinction is Obligation::run_state).
-  bool started = false;
-  double seconds = 0.0;
-  std::exception_ptr error;
-  /// This instance's own TaskDeadline tripped (not the shared budget).
-  bool timed_out = false;
+  TaskRun run;
 };
 
 struct ParametricTask {
@@ -252,16 +258,10 @@ struct ParametricTask {
   const ta::System* sys;
   spec::Spec spec;
   std::optional<schema::CheckResult> result;
-  std::exception_ptr error;
-  bool started = false;
-  /// This task's own TaskDeadline tripped (not the shared budget).
-  bool timed_out = false;
-  /// Scheduler-side wall time around the whole task body; attributes even
-  /// budget-cancelled work (check_spec's own seconds die with the throw).
-  double task_seconds = 0.0;
-  /// Content address of this obligation (set when Options.cache is present
-  /// or keys were requested); cache_hit means `result` was decoded from the
-  /// cache at plan time and no task was created for this slot.
+  TaskRun run;
+  /// Content address of this obligation (set when Options.store is present
+  /// or keys were requested); cache_hit means `result` came from the store
+  /// at plan time and no task was created for this slot.
   std::string cache_key;
   bool cache_hit = false;
 };
@@ -276,7 +276,7 @@ struct SweepTask {
   /// Content address / cached merged verdict; when `cached` is set none of
   /// the instance tasks are created and merge applies the verdict directly.
   std::string cache_key;
-  std::optional<svc::SweepVerdict> cached;
+  std::optional<SweepVerdict> cached;
 };
 
 struct Plan {
@@ -292,8 +292,8 @@ struct Plan {
     o.parametric = true;
     prop.obligations.push_back(std::move(o));
     checks.push_back({&prop, prop.obligations.size() - 1, &sys,
-                      std::move(spec), std::nullopt, nullptr, false, false,
-                      0.0, std::string(), false});
+                      std::move(spec), std::nullopt, TaskRun(), std::string(),
+                      false});
     order.emplace_back(false, checks.size() - 1);
   }
 
@@ -333,10 +333,10 @@ void merge_sweep(SweepTask& t, const schema::SharedBudget& budget) {
   std::vector<std::string> failed;
   for (std::size_t i = 0; i < t.instances.size(); ++i) {
     const SweepInstanceResult& inst = t.instances[i];
-    any_started = any_started || inst.started;
-    timed_out = timed_out || inst.timed_out;
+    any_started = any_started || inst.run.started;
+    timed_out = timed_out || inst.run.timed_out;
     std::string tag = instance_tag(t.pm->sweep_params[i]);
-    if (inst.error) {
+    if (inst.run.error) {
       // Contained internal failure in this instance: the sweep is
       // inconclusive (never a proof or refutation over the other
       // instances); the canonically-first error is the one reported.
@@ -344,7 +344,7 @@ void merge_sweep(SweepTask& t, const schema::SharedBudget& budget) {
       o.holds = false;
       o.complete = false;
       if (!o.error) {
-        o.error = classify_error(inst.error);
+        o.error = classify_error(inst.run.error);
         obs::add(obs::Counter::kVerifyObligationErrors);
       }
     } else {
@@ -366,7 +366,7 @@ void merge_sweep(SweepTask& t, const schema::SharedBudget& budget) {
       }
     }
     swept.push_back(std::move(tag));
-    o.seconds += inst.seconds;
+    o.seconds += inst.run.seconds;
   }
   o.run_state = o.error       ? Obligation::RunState::kError
                 : o.complete  ? Obligation::RunState::kComplete
@@ -583,9 +583,9 @@ struct ProtocolRun::Impl {
 
     task_opts = opts.schema;
     task_opts.budget = bud;
-    if (opts.cache != nullptr) {
+    if (opts.store != nullptr) {
       compute_cache_keys();
-      probe_cache();
+      probe_store();
     }
     // Default to one enumeration worker per obligation task: the obligation
     // scheduler is the outer parallelism dial. An explicit workers > 1 adds
@@ -595,113 +595,49 @@ struct ProtocolRun::Impl {
     if (task_opts.workers == 0) task_opts.workers = 1;
 
     // Task closures, in canonical order (all referenced vectors are final
-    // from here on, so the captured references stay valid). Each body is
-    // wrapped in an "obligation" trace span plus a scheduler-side stopwatch
-    // whose reading survives budget cancellation (check_spec's own seconds
-    // die with the Cancelled throw) — this is where per-obligation wall
-    // time attribution comes from.
+    // from here on, so the captured references stay valid).
     for (const auto& [is_sweep, idx] : plan.order) {
       if (!is_sweep) {
         ParametricTask& t = plan.checks[idx];
-        if (t.cache_hit) continue;  // verdict already decoded at probe time
+        if (t.cache_hit) continue;  // verdict already probed from the store
         tasks.push_back([this, &t]() {
-          obs::Span span("obligation");
-          if (span.active()) {
-            span.args("\"protocol\":\"" + obs::json_escape(pm.name) +
-                      "\",\"obligation\":\"" + obs::json_escape(t.spec.name) +
-                      "\"");
-          }
-          util::Stopwatch w;
-          // Containment boundary: a non-Cancelled exception stops THIS
-          // obligation only. It must never touch the shared budget — that
-          // would cancel innocent siblings and change their report bytes.
-          std::optional<TaskDeadline> dl;
-          try {
-            if (!bud->exhausted()) {  // else the slot stays inconclusive
-              t.started = true;
-              schema::CheckOptions topts = task_opts;
-              if (opts.obligation_timeout_s > 0) {
-                dl.emplace(*bud, opts.obligation_timeout_s);
-                topts.extra_cancel = &*dl;
-              }
-              t.result = schema::check_spec(*t.sys, t.spec, topts);
-            }
-          } catch (const util::Cancelled&) {
-          } catch (...) {
-            t.error = std::current_exception();
-          }
-          if (dl && dl->tripped()) t.timed_out = true;
-          t.task_seconds = w.seconds();
-          // Durability point: a complete verdict becomes a cache entry and
-          // a journal record the moment its task finishes, not at merge —
-          // a crash mid-protocol keeps every finished obligation durable
-          // for --resume. Failures here degrade crash safety, never the
-          // run (the merge path re-reads t.result, not the cache).
-          if (opts.cache != nullptr && !t.error && t.result &&
+          run_task(t.spec.name, t.run, [&](const TaskDeadline* dl) {
+            schema::CheckOptions topts = task_opts;
+            if (dl != nullptr) topts.extra_cancel = dl;
+            t.result = schema::check_spec(*t.sys, t.spec, topts);
+          });
+          // Durability point: a complete verdict is kept the moment its
+          // task finishes, not at merge — a crash mid-protocol keeps every
+          // finished obligation durable for --resume. Failures here degrade
+          // crash safety, never the run (the merge re-reads t.result).
+          if (opts.store != nullptr && !t.run.error && t.result &&
               t.result->complete) {
             try {
-              opts.cache->store(t.cache_key, svc::encode_check(*t.result));
-              if (opts.journal != nullptr) {
-                opts.journal->obligation_done(opts.journal_run, t.spec.name,
-                                              t.cache_key, /*cached=*/false);
-              }
+              opts.store->keep_check(t.spec.name, t.cache_key, *t.result);
             } catch (...) {
             }
           }
-          obs::add(obs::Counter::kVerifyTasksDone);
-          obs::add(obs::Counter::kVerifyObligationMicros,
-                   static_cast<std::uint64_t>(t.task_seconds * 1e6));
-          obs::observe(obs::Histogram::kObligationMillis,
-                       static_cast<std::uint64_t>(t.task_seconds * 1e3));
         });
       } else {
         SweepTask& t = plan.sweeps[idx];
-        if (t.cached) continue;  // merged verdict replays from the cache
+        if (t.cached) continue;  // merged verdict replays from the store
         for (std::size_t i = 0; i < t.instances.size(); ++i) {
           tasks.push_back([this, &t, i]() {
             SweepInstanceResult& inst = t.instances[i];
-            obs::Span span("obligation");
-            if (span.active()) {
-              std::string name =
-                  t.prop->obligations[t.slot].name + "[" +
-                  std::to_string(i) + "]";
-              span.args("\"protocol\":\"" + obs::json_escape(pm.name) +
-                        "\",\"obligation\":\"" + obs::json_escape(name) +
-                        "\"");
-            }
-            util::Stopwatch w;
-            // Same containment boundary as the parametric wrapper: errors
-            // stay local to this instance; the shared budget is never
-            // cancelled on their behalf.
-            std::optional<TaskDeadline> dl;
-            try {
-              if (!bud->exhausted()) {
-                inst.started = true;
-                // The budget itself is the cancel source (wrapped by the
-                // per-obligation deadline when one is set), so a long
-                // state-graph build notices an expired deadline, not just a
-                // tripped flag.
-                const util::CancelSource* cs = bud;
-                if (opts.obligation_timeout_s > 0) {
-                  dl.emplace(*bud, opts.obligation_timeout_s);
-                  cs = &*dl;
-                }
-                bool ok = t.check(*t.sys, t.pm->sweep_params[i],
-                                  opts.max_states, cs);
-                inst.status = ok ? SweepInstanceResult::Status::kOk
-                                 : SweepInstanceResult::Status::kFail;
-              }
-            } catch (const util::Cancelled&) {
-            } catch (...) {
-              inst.error = std::current_exception();
-            }
-            if (dl && dl->tripped()) inst.timed_out = true;
-            inst.seconds = w.seconds();
-            obs::add(obs::Counter::kVerifyTasksDone);
-            obs::add(obs::Counter::kVerifyObligationMicros,
-                     static_cast<std::uint64_t>(inst.seconds * 1e6));
-            obs::observe(obs::Histogram::kObligationMillis,
-                         static_cast<std::uint64_t>(inst.seconds * 1e3));
+            const std::string name = t.prop->obligations[t.slot].name + "[" +
+                                     std::to_string(i) + "]";
+            run_task(name, inst.run, [&](const TaskDeadline* dl) {
+              // The budget itself is the cancel source (wrapped by the
+              // per-obligation deadline when one is set), so a long
+              // state-graph build notices an expired deadline, not just a
+              // tripped flag.
+              const util::CancelSource* cs = bud;
+              if (dl != nullptr) cs = dl;
+              bool ok = t.check(*t.sys, t.pm->sweep_params[i],
+                                opts.max_states, cs);
+              inst.status = ok ? SweepInstanceResult::Status::kOk
+                               : SweepInstanceResult::Status::kFail;
+            });
           });
         }
       }
@@ -710,6 +646,44 @@ struct ProtocolRun::Impl {
              static_cast<std::uint64_t>(tasks.size()));
     CTAVER_LOG(kInfo) << pm.name << ": planned " << plan.order.size()
                       << " obligation(s) as " << tasks.size() << " task(s)";
+  }
+
+  /// The scaffolding around every task body: an "obligation" trace span,
+  /// the scheduler-side stopwatch (per-obligation wall time comes from
+  /// here, and survives budget cancellation), the per-obligation deadline,
+  /// and the containment boundary — a non-Cancelled exception stops THIS
+  /// task only and never touches the shared budget, which would cancel
+  /// innocent siblings and change their report bytes. `body` gets the
+  /// deadline (null without one) and runs only while the budget lasts;
+  /// otherwise the slot stays inconclusive.
+  template <class Body>
+  void run_task(const std::string& name, TaskRun& run, Body body) {
+    obs::Span span("obligation");
+    if (span.active()) {
+      span.args("\"protocol\":\"" + obs::json_escape(pm.name) +
+                "\",\"obligation\":\"" + obs::json_escape(name) + "\"");
+    }
+    util::Stopwatch w;
+    std::optional<TaskDeadline> dl;
+    try {
+      if (!bud->exhausted()) {
+        run.started = true;
+        if (opts.obligation_timeout_s > 0) {
+          dl.emplace(*bud, opts.obligation_timeout_s);
+        }
+        body(dl ? &*dl : nullptr);
+      }
+    } catch (const util::Cancelled&) {
+    } catch (...) {
+      run.error = std::current_exception();
+    }
+    run.timed_out = dl && dl->tripped();
+    run.seconds = w.seconds();
+    obs::add(obs::Counter::kVerifyTasksDone);
+    obs::add(obs::Counter::kVerifyObligationMicros,
+             static_cast<std::uint64_t>(run.seconds * 1e6));
+    obs::observe(obs::Histogram::kObligationMillis,
+                 static_cast<std::uint64_t>(run.seconds * 1e3));
   }
 
   /// Content address of every planned obligation (cache probes and
@@ -735,40 +709,16 @@ struct ProtocolRun::Impl {
     }
   }
 
-  /// Probes Options.cache for every planned obligation. A hit parks the
-  /// decoded verdict on the task so no closure is created for it; a
-  /// checksum-valid payload that still fails to decode (incompatible codec)
-  /// is invalidated and treated as a miss.
-  void probe_cache() {
+  /// Probes Options.store for every planned obligation. A hit parks the
+  /// stored verdict on the task so no closure is created for it.
+  void probe_store() {
     for (ParametricTask& t : plan.checks) {
-      if (std::optional<std::string> p = opts.cache->lookup(t.cache_key)) {
-        if (std::optional<schema::CheckResult> res = svc::decode_check(*p)) {
-          t.result = std::move(res);
-          t.cache_hit = true;
-          // A hit is already durable — journal it now so a crash before
-          // merge still credits this obligation to the run.
-          if (opts.journal != nullptr) {
-            opts.journal->obligation_done(opts.journal_run, t.spec.name,
-                                          t.cache_key, /*cached=*/true);
-          }
-        } else {
-          opts.cache->invalidate(t.cache_key);
-        }
-      }
+      t.result = opts.store->probe_check(t.spec.name, t.cache_key);
+      t.cache_hit = t.result.has_value();
     }
     for (SweepTask& t : plan.sweeps) {
-      if (std::optional<std::string> p = opts.cache->lookup(t.cache_key)) {
-        if (std::optional<svc::SweepVerdict> v = svc::decode_sweep(*p)) {
-          t.cached = std::move(v);
-          if (opts.journal != nullptr) {
-            opts.journal->obligation_done(
-                opts.journal_run, t.prop->obligations[t.slot].name,
-                t.cache_key, /*cached=*/true);
-          }
-        } else {
-          opts.cache->invalidate(t.cache_key);
-        }
-      }
+      t.cached = opts.store->probe_sweep(t.prop->obligations[t.slot].name,
+                                         t.cache_key);
     }
   }
 
@@ -789,11 +739,11 @@ struct ProtocolRun::Impl {
     // every unaffected obligation's report bytes match an error-free run.
     for (ParametricTask& t : plan.checks) {
       Obligation& o = t.prop->obligations[t.slot];
-      if (t.error) {
+      if (t.run.error) {
         o.holds = false;
         o.complete = false;
         o.run_state = Obligation::RunState::kError;
-        o.error = classify_error(t.error);
+        o.error = classify_error(t.run.error);
         obs::add(obs::Counter::kVerifyObligationErrors);
       } else if (t.result) {
         o = from_check(o.name, *t.result);
@@ -827,23 +777,20 @@ struct ProtocolRun::Impl {
         // Skipped by budget exhaustion or cancellation: inconclusive.
         o.holds = false;
         o.complete = false;
-        o.run_state = t.started ? Obligation::RunState::kCancelled
-                                : Obligation::RunState::kSkipped;
+        o.run_state = t.run.started ? Obligation::RunState::kCancelled
+                                    : Obligation::RunState::kSkipped;
       }
       if (o.run_state == Obligation::RunState::kCancelled ||
           o.run_state == Obligation::RunState::kSkipped) {
-        o.cut_reason = t.timed_out ? "obligation-timeout"
-                                   : bud->reason_str();
+        o.cut_reason = t.run.timed_out ? "obligation-timeout"
+                                       : bud->reason_str();
       }
-      if (t.timed_out) obs::add(obs::Counter::kWatchdogTimeoutCuts);
+      if (t.run.timed_out) obs::add(obs::Counter::kWatchdogTimeoutCuts);
       // Table-II time columns come from the scheduler-side task timer, so
       // budget-cancelled obligations are attributable too (a cache hit
-      // reads 0 — no work was done).
-      o.seconds = t.task_seconds;
-      // The cache store + journal record happened at task-completion time
-      // (or at probe time for a hit) — the durability point is the moment
-      // the verdict exists, so a crash between then and this merge loses
-      // nothing.
+      // reads 0 — no work was done). The verdict was kept at task
+      // completion (or probed durable), so nothing is stored here.
+      o.seconds = t.run.seconds;
     }
     for (SweepTask& t : plan.sweeps) {
       if (t.cached) {
@@ -856,19 +803,14 @@ struct ProtocolRun::Impl {
         o.ce = t.cached->ce;
         o.detail = t.cached->detail;
         o.run_state = Obligation::RunState::kComplete;
-        o.cached = true;  // journaled at probe time, like parametric hits
+        o.cached = true;
         continue;
       }
       merge_sweep(t, *bud);
       const Obligation& o = t.prop->obligations[t.slot];
-      if (opts.cache != nullptr && o.complete && !o.error) {
-        opts.cache->store(t.cache_key,
-                          svc::encode_sweep({o.holds, o.complete, o.ce,
-                                             o.detail}));
-        if (opts.journal != nullptr) {
-          opts.journal->obligation_done(opts.journal_run, o.name, t.cache_key,
-                                        /*cached=*/false);
-        }
+      if (opts.store != nullptr && o.complete && !o.error) {
+        opts.store->keep_sweep(o.name, t.cache_key,
+                               {o.holds, o.complete, o.ce, o.detail});
       }
     }
 
@@ -961,7 +903,7 @@ ProtocolReport verify_protocol(const protocols::ProtocolModel& pm,
 std::vector<ObligationKey> obligation_cache_keys(
     const protocols::ProtocolModel& pm, const Options& opts) {
   Options o = opts;
-  o.cache = nullptr;  // keys only — never probe or store
+  o.store = nullptr;  // keys only — never probe or keep
   auto impl = std::make_unique<ProtocolRun::Impl>(pm, o);
   impl->plan_all();
   impl->compute_cache_keys();

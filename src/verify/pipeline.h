@@ -30,12 +30,34 @@ namespace ctaver::util {
 class ThreadPool;
 }
 
-namespace ctaver::svc {
-class ProofCache;
-class Journal;
-}
-
 namespace ctaver::verify {
+
+/// Merged verdict of a sweep obligation (C1/C2'), as the merge leaves it.
+struct SweepVerdict {
+  bool holds = false;
+  bool complete = false;
+  std::string ce;
+  std::string detail;
+};
+
+/// The pipeline's one seam to durable verdicts (svc::DurableStore
+/// implements it over the proof cache and the run journal). Every planned
+/// obligation is probed by its cache key at plan time (a hit replaces the
+/// task); a complete, error-free parametric verdict is kept when its task
+/// finishes, a sweep verdict at merge. Keeps run on pool workers, so
+/// implementations must be thread-safe. `name` is the obligation's name.
+class ResultStore {
+ public:
+  virtual ~ResultStore() = default;
+  virtual std::optional<schema::CheckResult> probe_check(
+      const std::string& name, const std::string& key) = 0;
+  virtual std::optional<SweepVerdict> probe_sweep(const std::string& name,
+                                                  const std::string& key) = 0;
+  virtual void keep_check(const std::string& name, const std::string& key,
+                          const schema::CheckResult& result) = 0;
+  virtual void keep_sweep(const std::string& name, const std::string& key,
+                          const SweepVerdict& verdict) = 0;
+};
 
 struct Options {
   /// Per-obligation schema-checker options. Inside verify_protocol,
@@ -78,25 +100,15 @@ struct Options {
   /// that are merely not planned in this run — the sweep obligations under
   /// run_sweeps = false — are still accepted.
   std::vector<std::string> only_obligations;
-  /// Content-addressed proof cache (src/svc/proof_cache; not owned, may be
-  /// null). When set, planning probes the cache with each obligation's
-  /// canonical key (src/verify/cache_key): a hit decodes the stored verdict
-  /// into the task's result slot — no task runs, no budget is charged, and
-  /// the merge path (including deterministic counterexample replay) renders
-  /// the exact bytes a cold run would; a miss proves the obligation
-  /// normally and stores its verdict at merge time when it is complete and
-  /// error-free.
-  svc::ProofCache* cache = nullptr;
-  /// Durable run journal (src/svc/journal; not owned, may be null). Only
-  /// consulted together with `cache`: at merge time every complete,
-  /// error-free obligation appends one fsync'd record referencing its
-  /// ProofCache key under the `journal_run` id, so a killed process can
-  /// account for what already landed durable. Journal appends are strictly
-  /// out-of-band — no report byte ever depends on them.
-  svc::Journal* journal = nullptr;
-  /// Run identity stamped into journal records (journal_run_id of the
-  /// planned obligation keys); set by whoever owns the run-start record.
-  std::string journal_run;
+  /// Durable verdict store (ResultStore above; not owned, may be null).
+  /// When set, planning probes it with each obligation's canonical key
+  /// (src/verify/cache_key): a hit parks the stored verdict in the task's
+  /// result slot — no task runs, no budget is charged, and the merge path
+  /// (including deterministic counterexample replay) renders the exact
+  /// bytes a cold run would; a miss proves the obligation normally and
+  /// keeps its verdict once it is complete and error-free. The store is
+  /// strictly out-of-band: no report byte ever depends on it.
+  ResultStore* store = nullptr;
   /// Per-obligation hard deadline in seconds (0 = off), armed when the
   /// obligation's task starts. Tripping it cuts THAT obligation to
   /// inconclusive (cut_reason "obligation-timeout") without touching the
@@ -188,7 +200,7 @@ struct Obligation {
   /// deadline ("obligation-timeout"). Empty for complete obligations.
   /// Human-readable attribution only — never a byte-identity field.
   std::string cut_reason;
-  /// This verdict was replayed from the proof cache (Options.cache) instead
+  /// This verdict was replayed from the result store (Options.store) instead
   /// of being proved in this run. Provenance only — by the cache's key
   /// contract every rendered field matches what a cold run would produce,
   /// and nothing ever renders this flag into a report.

@@ -18,6 +18,7 @@
 #include "frontend/lower.h"
 #include "protocols/protocols.h"
 #include "svc/proof_cache.h"
+#include "svc/store.h"
 #include "util/hash.h"
 #include "verify/pipeline.h"
 
@@ -196,12 +197,11 @@ TEST(CacheKey, BudgetClassAndOptionsAreKeyed) {
       EXPECT_EQ(ka[i].key, kc[i].key);  // ...but not a sweep-key input
     }
   }
-  // Byte-neutral knobs (jobs, workers, dispatch mode) must NOT move keys:
+  // Byte-neutral knobs (jobs, workers) must NOT move keys:
   // reports are identical across them, so their verdicts are interchangeable.
   verify::Options d;
   d.jobs = 8;
   d.schema.workers = 8;
-  d.schema.static_assignment = true;
   std::vector<verify::ObligationKey> kd = verify::obligation_cache_keys(pm, d);
   for (std::size_t i = 0; i < ka.size(); ++i) {
     EXPECT_EQ(ka[i].key, kd[i].key) << ka[i].name;
@@ -435,9 +435,10 @@ TEST(ProofCache, InvalidateDropsMemoryAndDisk) {
 // --- pipeline integration ----------------------------------------------
 
 TEST(PipelineCache, WarmResubmissionReprovesOnlyChangedObligations) {
-  svc::ProofCache cache;
+  svc::DurableStore store;
+  svc::ProofCache& cache = store.cache();
   verify::Options opts;
-  opts.cache = &cache;
+  opts.store = &store;
 
   // Cold: everything misses and every complete verdict is stored.
   verify::ProtocolReport cold = verify::verify_protocol(load(kBaseSpec), opts);
@@ -486,16 +487,17 @@ TEST(PipelineCache, HitPathBytesMatchColdRunAcrossJobsAndWorkers) {
   verify::Options plain;
   std::string cold = render(verify::verify_protocol(pm, plain));
 
-  svc::ProofCache cache;
+  svc::DurableStore store;
+  svc::ProofCache& cache = store.cache();
   verify::Options seed = plain;
-  seed.cache = &cache;
+  seed.store = &store;
   verify::verify_protocol(pm, seed);  // populate
   ASSERT_EQ(cache.stats().stores, 6u);
 
   for (int jobs : {1, 2, 8}) {
     for (int workers : {1, 2, 8}) {
       verify::Options opts = plain;
-      opts.cache = &cache;
+      opts.store = &store;
       opts.jobs = jobs;
       opts.schema.workers = workers;
       verify::ProtocolReport warm = verify::verify_protocol(pm, opts);
@@ -520,8 +522,8 @@ TEST(PipelineCache, ReplayedCounterexampleReplaysByteIdentically) {
   verify::Options opts;
   opts.replay_ce = true;
   verify::ProtocolReport cold = verify::verify_protocol(pm, opts);
-  svc::ProofCache cache;
-  opts.cache = &cache;
+  svc::DurableStore store;
+  opts.store = &store;
   verify::verify_protocol(pm, opts);
   verify::ProtocolReport warm = verify::verify_protocol(pm, opts);
   EXPECT_EQ(render(warm), render(cold));

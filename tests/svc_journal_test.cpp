@@ -19,6 +19,7 @@
 #include "protocols/protocols.h"
 #include "svc/journal.h"
 #include "svc/proof_cache.h"
+#include "svc/store.h"
 #include "util/hash.h"
 #include "verify/pipeline.h"
 
@@ -70,7 +71,7 @@ TEST(Journal, CreatesHeaderAndAppendsSurviveReopen) {
   {
     Journal j(dir.str());
     ASSERT_TRUE(j.ok()) << j.error();
-    EXPECT_TRUE(j.replayed().empty());
+    EXPECT_EQ(j.stats().replayed, 0u);
     run = journal_run_id(naive_keys());
     j.run_start(run, "verify", "NaiveVoting", 6);
     j.obligation_done(run, "Inv1(v=0)", std::string(64, 'a'), false);
@@ -117,6 +118,52 @@ TEST(Journal, RecordFormatIsChecksummedOneLineJson) {
   EXPECT_EQ(p.get("rec"), "run-start");
   EXPECT_EQ(p.get("run"), "deadbeef");
   EXPECT_EQ(p["total"].as_int(), 2);
+}
+
+TEST(Journal, ManyRunsAreAnsweredFromThePerRunIndex) {
+  // A long-lived cache directory: thousands of runs, every third one cut
+  // short, each journaling its key twice (a resumed run re-journals what it
+  // replays). Written as raw checksummed records to skip per-record fsyncs.
+  TempDir dir;
+  std::string bytes = "ctaver-journal v1\n";
+  auto rec = [&bytes](const std::string& payload) {
+    bytes += util::sha256_hex(payload) + " " + payload + "\n";
+  };
+  const int kRuns = 3000;
+  for (int i = 0; i < kRuns; ++i) {
+    const std::string run = "\"run\":\"r" + std::to_string(i) + "\"";
+    rec("{\"rec\":\"run-start\"," + run +
+        ",\"kind\":\"submit\",\"name\":\"P\",\"total\":1}");
+    for (int twice = 0; twice < 2; ++twice) {
+      rec("{\"rec\":\"obligation\"," + run + ",\"name\":\"A\",\"key\":\"k" +
+          std::to_string(i) + "\",\"cached\":false}");
+    }
+    if (i % 3 != 0) rec("{\"rec\":\"run-end\"," + run + ",\"exit\":0}");
+  }
+  append_raw(dir.log(), bytes);
+
+  Journal j(dir.str());
+  ASSERT_TRUE(j.ok()) << j.error();
+  EXPECT_EQ(j.stats().replayed, 3u * kRuns + 2u * kRuns / 3u);
+  EXPECT_EQ(j.unfinished_runs(), static_cast<std::size_t>(kRuns / 3));
+  EXPECT_TRUE(j.run_started("r0"));
+  EXPECT_FALSE(j.run_finished("r0"));
+  EXPECT_TRUE(j.run_finished("r2999"));
+  EXPECT_EQ(j.run_obligations("r1234"), std::vector<std::string>{"k1234"});
+  EXPECT_FALSE(j.run_started("r3000"));
+  EXPECT_TRUE(j.run_obligations("r3000").empty());
+
+  // Appends on the live handle update the same index.
+  j.run_end("r0", 1);
+  EXPECT_TRUE(j.run_finished("r0"));
+  EXPECT_EQ(j.unfinished_runs(), static_cast<std::size_t>(kRuns / 3 - 1));
+  j.run_start("fresh", "verify", "P", 1);
+  j.obligation_done("fresh", "A", "kf", false);
+  EXPECT_EQ(j.unfinished_runs(), static_cast<std::size_t>(kRuns / 3));
+  EXPECT_EQ(j.run_obligations("fresh"), std::vector<std::string>{"kf"});
+  // A re-run of a finished id stays finished: its run-end is on record.
+  j.run_start("r1", "submit", "P", 1);
+  EXPECT_EQ(j.unfinished_runs(), static_cast<std::size_t>(kRuns / 3));
 }
 
 TEST(Journal, TornTailIsTruncatedAndAppendsContinue) {
@@ -240,19 +287,18 @@ std::string render(const verify::ProtocolReport& r) {
 TEST(JournalPipeline, EveryDurableVerdictLandsARecord) {
   protocols::ProtocolModel pm = protocols::naive_voting();
   TempDir dir;
-  ProofCache cache(dir.str());
-  Journal journal(dir.str());
-  ASSERT_TRUE(journal.ok()) << journal.error();
+  DurableStore store(dir.str());
+  std::string err;
+  ASSERT_TRUE(store.open_journal(&err)) << err;
+  ProofCache& cache = store.cache();
   std::string run = journal_run_id(naive_keys());
 
+  DurableStore cold = store.begin_run(naive_keys(), "verify", pm.name);
   verify::Options opts;
-  opts.cache = &cache;
-  opts.journal = &journal;
-  opts.journal_run = run;
+  opts.store = &cold;
   opts.jobs = 4;  // TSan leg: concurrent durability-point appends
-  journal.run_start(run, "verify", pm.name, 6);
   verify::verify_protocol(pm, opts);
-  journal.run_end(run, 1);
+  cold.end_run(1);
 
   Journal replay(dir.str());
   EXPECT_EQ(replay.stats().replayed, 8u);  // start + 6 obligations + end
@@ -264,17 +310,17 @@ TEST(JournalPipeline, EveryDurableVerdictLandsARecord) {
     EXPECT_TRUE(cache.lookup(key).has_value()) << key;
   }
   // Warm re-run: hits journal at probe time, with cached=true provenance.
-  Journal journal2(dir.str());
+  DurableStore warm_run = store.begin_run(naive_keys(), "verify", pm.name);
   verify::Options warm;
-  warm.cache = &cache;
-  warm.journal = &journal2;
-  warm.journal_run = run;
-  journal2.run_start(run, "verify", pm.name, 6);
+  warm.store = &warm_run;
   verify::verify_protocol(pm, warm);
-  journal2.run_end(run, 1);
-  Journal replay2(dir.str());
+  warm_run.end_run(1);
   std::size_t cached_records = 0;
-  for (const Json& rec : replay2.replayed()) {
+  std::istringstream log(read_file(dir.log()));
+  std::string line;
+  std::getline(log, line);  // header
+  while (std::getline(log, line)) {
+    Json rec = Json::parse(line.substr(65));  // "<sha256> <payload>"
     if (rec.get("rec") == "obligation" && rec["cached"].as_bool()) {
       ++cached_records;
     }
@@ -294,9 +340,10 @@ TEST(JournalPipeline, PartialDurabilityResumesByteIdentical) {
   std::vector<verify::ObligationKey> keys = naive_keys();
   std::string run = journal_run_id(keys);
   {
-    ProofCache seed(dir.str());
+    DurableStore seed_store(dir.str());
+    ProofCache& seed = seed_store.cache();
     verify::Options opts;
-    opts.cache = &seed;
+    opts.store = &seed_store;
     verify::verify_protocol(pm, opts);
     // Keep the first three proofs; a crash lost the rest.
     for (std::size_t i = 3; i < keys.size(); ++i) {
@@ -316,14 +363,20 @@ TEST(JournalPipeline, PartialDurabilityResumesByteIdentical) {
   EXPECT_FALSE(recovered.run_finished(run));
   EXPECT_EQ(recovered.run_obligations(run).size(), 3u);
 
-  ProofCache cache(dir.str());
+  DurableStore store(dir.str());
+  ASSERT_TRUE(store.open_journal(nullptr));
+  std::string note;
+  EXPECT_TRUE(store.resume(keys, &note));
+  EXPECT_EQ(note, "resuming run " + run.substr(0, 12) +
+                      ": 3 of 6 obligation(s) already durable; re-proving "
+                      "the rest");
+  EXPECT_FALSE(store.resume({keys[0]}, &note));  // another run is unfinished
+  ProofCache& cache = store.cache();
+  DurableStore resumed = store.begin_run(keys, "verify", pm.name);
   verify::Options resume;
-  resume.cache = &cache;
-  resume.journal = &recovered;
-  resume.journal_run = run;
-  recovered.run_start(run, "verify", pm.name, keys.size());
+  resume.store = &resumed;
   verify::ProtocolReport r = verify::verify_protocol(pm, resume);
-  recovered.run_end(run, 1);
+  resumed.end_run(1);
   EXPECT_EQ(render(r), cold);
   EXPECT_EQ(cache.stats().hits, 3u);    // the durable survivors replayed
   EXPECT_EQ(cache.stats().misses, 3u);  // the lost ones re-proved

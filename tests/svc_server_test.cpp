@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -292,6 +293,36 @@ TEST(SvcServer, ResubmissionReplaysFromTheCache) {
   EXPECT_EQ(stats.hits, 6u);
   EXPECT_EQ(stats.stores, 6u);
   EXPECT_EQ(fx.server().submissions(), 2u);
+}
+
+// Every connection gets its own thread; finished ones must be joined as
+// the daemon runs, not only at shutdown, or a long-lived daemon keeps one
+// dead thread (and its stack) per submission it ever served.
+TEST(SvcServer, FinishedConnectionThreadsAreReaped) {
+  ServerFixture fx;
+  const int kSubmissions = 24;
+  std::size_t most = 0;
+  for (int i = 0; i < kSubmissions; ++i) {
+    RawClient c(fx.socket_path());
+    std::vector<Json> events =
+        c.submit("{\"op\":\"submit\",\"spec\":\"NaiveVoting\"}");
+    ASSERT_FALSE(events.empty());
+    EXPECT_EQ(events.back().get("event"), "done");
+    most = std::max(most, fx.server().connection_threads());
+  }
+  // Sequential clients: only the threads that have not yet noticed their
+  // client's hang-up await a reap at any time (the accept loop reaps on
+  // every accept and every 200 ms poll round); without reaping every
+  // submission would leave one behind ...
+  EXPECT_LT(most, static_cast<std::size_t>(kSubmissions / 2));
+  // ... and once the last client is gone, none are left.
+  for (int waited = 0;
+       fx.server().connection_threads() > 0 && waited < 5000; waited += 20) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_EQ(fx.server().connection_threads(), 0u);
+  EXPECT_EQ(fx.server().submissions(),
+            static_cast<std::uint64_t>(kSubmissions));
 }
 
 // The tentpole scenario end-to-end over the wire: submit a spec, edit its
