@@ -4,6 +4,7 @@
 // Graphviz dot renderings.
 #include <iostream>
 
+#include "frontend/registry.h"
 #include "protocols/protocols.h"
 #include "ta/transforms.h"
 
@@ -50,14 +51,14 @@ void print_rules(const ctaver::ta::System& sys) {
 int main() {
   using namespace ctaver;
 
-  protocols::ProtocolModel nv = protocols::naive_voting();
+  protocols::ProtocolModel nv = frontend::builtin("NaiveVoting");
   std::cout << "=== Fig. 3: threshold automaton for naive voting ===\n";
   std::cout << "|L| = " << nv.system.total_locations()
             << "  |R| = " << nv.system.total_rules() << "\n";
   print_rules(nv.system);
   std::cout << "\n--- dot ---\n" << ta::to_dot(nv.system) << "\n";
 
-  protocols::ProtocolModel m = protocols::mmr14();
+  protocols::ProtocolModel m = frontend::builtin("MMR14");
   std::cout << "=== Fig. 4 / Table I: multi-round MMR14 + common coin ===\n";
   std::cout << "|L| = " << m.system.total_locations()
             << "  |R| = " << m.system.total_rules() << "\n";

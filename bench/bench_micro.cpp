@@ -6,6 +6,7 @@
 
 #include "cs/explicit_system.h"
 #include "cs/state_graph.h"
+#include "frontend/registry.h"
 #include "lia/solver.h"
 #include "protocols/protocols.h"
 #include "schema/checker.h"
@@ -41,7 +42,7 @@ void BM_LiaThresholdSystem(benchmark::State& state) {
 BENCHMARK(BM_LiaThresholdSystem);
 
 void BM_StateGraphCc85a(benchmark::State& state) {
-  protocols::ProtocolModel pm = protocols::cc85a();
+  protocols::ProtocolModel pm = frontend::builtin("CC85a");
   ta::System rd = ta::single_round(ta::nonprobabilistic(pm.system));
   for (auto _ : state) {
     cs::ExplicitSystem es(rd, {4, 1, 1}, 1);
@@ -52,7 +53,7 @@ void BM_StateGraphCc85a(benchmark::State& state) {
 BENCHMARK(BM_StateGraphCc85a);
 
 void BM_SchemaCheckNaiveVotingInv2(benchmark::State& state) {
-  protocols::ProtocolModel pm = protocols::naive_voting();
+  protocols::ProtocolModel pm = frontend::builtin("NaiveVoting");
   ta::System rd = ta::single_round(ta::nonprobabilistic(pm.system));
   for (auto _ : state) {
     schema::CheckResult res = schema::check_spec(rd, spec::inv2(rd, 0));

@@ -8,18 +8,18 @@
 // counterexample; with f = 0 it verifies.
 #include <iostream>
 
+#include "frontend/registry.h"
 #include "protocols/protocols.h"
 #include "schema/checker.h"
 #include "spec/spec.h"
-#include "ta/builder.h"
 #include "ta/transforms.h"
 
 int main() {
   using namespace ctaver;
 
-  // 1. A protocol model. See src/protocols/protocols_ab.cpp for how this is
-  //    built with ta::SystemBuilder (locations, threshold guards, rules).
-  protocols::ProtocolModel pm = protocols::naive_voting();
+  // 1. A protocol model: the builtin lowered from specs/naive_voting.cta
+  //    (locations, threshold guards, rules).
+  protocols::ProtocolModel pm = frontend::builtin("NaiveVoting");
   std::cout << "Protocol " << pm.system.name << ": "
             << pm.system.total_locations() << " locations, "
             << pm.system.total_rules() << " rules\n";

@@ -8,7 +8,7 @@
 #include <cstring>
 #include <iostream>
 
-#include "protocols/protocols.h"
+#include "frontend/registry.h"
 #include "verify/pipeline.h"
 
 int main(int argc, char** argv) {
@@ -25,8 +25,10 @@ int main(int argc, char** argv) {
   }
 
   std::cout << verify::table2_header() << "\n";
-  for (const protocols::ProtocolModel& pm : protocols::all_protocols()) {
-    verify::ProtocolReport report = verify::verify_protocol(pm, opts);
+  for (const char* name : {"Rabin83", "CC85a", "CC85b", "FMR05", "KS16",
+                           "MMR14", "Miller18", "ABY22"}) {
+    verify::ProtocolReport report =
+        verify::verify_protocol(frontend::builtin(name), opts);
     std::cout << verify::table2_row(report) << "\n";
     std::string fail = report.termination.failure();
     if (!fail.empty()) {

@@ -4,6 +4,7 @@
 // attack of Miller's bug report. The counterexample schedule is printed.
 #include <iostream>
 
+#include "frontend/registry.h"
 #include "protocols/protocols.h"
 #include "schema/checker.h"
 #include "spec/spec.h"
@@ -12,7 +13,7 @@
 int main() {
   using namespace ctaver;
 
-  protocols::ProtocolModel pm = protocols::mmr14();
+  protocols::ProtocolModel pm = frontend::builtin("MMR14");
   ta::System rd = ta::single_round(ta::nonprobabilistic(pm.system));
   ta::System rdr = ta::single_round(ta::nonprobabilistic(pm.refined()));
 

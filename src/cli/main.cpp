@@ -100,8 +100,8 @@ int usage(std::ostream& os, int code) {
         "                     re-prove only the obligations a killed run\n"
         "                     left without a durable proof; the report is\n"
         "                     byte-identical to an uninterrupted run. Exits\n"
-        "                     2 if the journal's unfinished run was started\n"
-        "                     with different specs/options\n"
+        "                     2 if the journal's unfinished verify run was\n"
+        "                     started with different specs/options\n"
         "  --socket PATH      daemon socket (serve, submit, shutdown;\n"
         "                     default /tmp/ctaverd.sock)\n"
         "  --connect-timeout S\n"
@@ -717,17 +717,9 @@ int cmd_check(const ProtocolRegistry& registry, const Args& args) {
     }
     if (pm.attack) {
       const ctaver::protocols::AttackSketch& sk = *pm.attack;
-      // The lowering validated the name; a hand-built model may not have.
-      std::optional<ctaver::sim::Protocol> proto =
-          ctaver::sim::protocol_from_name(sk.simulator);
-      if (!proto) {
-        std::cout << "  attack " << sk.script << "/" << sk.simulator
-                  << ": FAIL: unknown simulator\n";
-        ++failed;
-        continue;
-      }
+      // Every model here was lowered, and the lowering validated the name.
       ctaver::sim::AttackOptions ao;
-      ao.proto = *proto;
+      ao.proto = ctaver::sim::protocol_from_name(sk.simulator).value();
       ao.n = sk.n;
       ao.t = sk.t;
       ao.inputs = sk.inputs;

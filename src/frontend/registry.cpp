@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 
 #include "frontend/lower.h"
 #include "util/logging.h"
@@ -10,18 +12,58 @@
 
 namespace ctaver::frontend {
 
+namespace {
+
+/// The builtins in Table-II order, each under the name its spec declares.
+struct Builtin {
+  const char* name;
+  const char* file;  // in specs/
+};
+constexpr Builtin kBuiltins[] = {
+    {"NaiveVoting", "naive_voting.cta"}, {"Rabin83", "rabin83.cta"},
+    {"CC85a", "cc85a.cta"},              {"CC85b", "cc85b.cta"},
+    {"FMR05", "fmr05.cta"},              {"KS16", "ks16.cta"},
+    {"MMR14", "mmr14.cta"},              {"Miller18", "miller18.cta"},
+    {"ABY22", "aby22.cta"}};
+
+/// The text of specs/`file` as embedded at build time ("" if absent). The
+/// top-level CMake build generates builtin_specs.inc from specs/*.cta; the
+/// e2e_bench harness compiles src/ without that step, so there the
+/// builtins keep their names but cannot be made.
+std::string_view embedded_spec(std::string_view file) {
+#if __has_include("builtin_specs.inc")
+  static constexpr std::pair<std::string_view, std::string_view> kSpecs[] = {
+#include "builtin_specs.inc"
+  };
+  for (const auto& [f, text] : kSpecs) {
+    if (f == file) return text;
+  }
+#endif
+  return {};
+}
+
+protocols::ProtocolModel lower_builtin(const Builtin& b) {
+  const std::string file = std::string("specs/") + b.file;
+  std::string_view text = embedded_spec(b.file);
+  if (text.empty()) {
+    throw std::runtime_error("builtin " + std::string(b.name) + ": " + file +
+                             " is not embedded in this build");
+  }
+  return load_spec_string(std::string(text), file);
+}
+
+}  // namespace
+
 ProtocolRegistry ProtocolRegistry::with_builtins() {
   ProtocolRegistry r;
-  r.add("NaiveVoting", &protocols::naive_voting, "builtin");
-  r.add("Rabin83", &protocols::rabin83, "builtin");
-  r.add("CC85a", &protocols::cc85a, "builtin");
-  r.add("CC85b", &protocols::cc85b, "builtin");
-  r.add("FMR05", &protocols::fmr05, "builtin");
-  r.add("KS16", &protocols::ks16, "builtin");
-  r.add("MMR14", &protocols::mmr14, "builtin");
-  r.add("Miller18", &protocols::miller18, "builtin");
-  r.add("ABY22", &protocols::aby22, "builtin");
+  for (const Builtin& b : kBuiltins) {
+    r.add(b.name, [&b] { return lower_builtin(b); }, "builtin");
+  }
   return r;
+}
+
+protocols::ProtocolModel builtin(const std::string& name) {
+  return ProtocolRegistry::with_builtins().make(name);
 }
 
 void ProtocolRegistry::add(const std::string& name, Factory factory,

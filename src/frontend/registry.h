@@ -1,7 +1,8 @@
-// Protocol registry: one lookup for built-in (hand-coded) models and
-// file-loaded .cta specs. The CLI and tests resolve every protocol argument
-// through here, so a user-supplied spec file is a first-class citizen of the
-// verification pipeline, indistinguishable from the Table-II benchmarks.
+// Protocol registry: one lookup for the built-in models (the specs/*.cta
+// texts embedded at build time) and file-loaded .cta specs. The CLI and
+// tests resolve every protocol argument through here, so a user-supplied
+// spec file is a first-class citizen of the verification pipeline,
+// indistinguishable from the Table-II benchmarks.
 #pragma once
 
 #include <functional>
@@ -17,7 +18,9 @@ class ProtocolRegistry {
   using Factory = std::function<protocols::ProtocolModel()>;
 
   /// Registry pre-populated with the nine built-in models (naive-voting +
-  /// the eight Table-II benchmarks), keyed by their builder names.
+  /// the eight Table-II benchmarks) in Table-II order, keyed by their
+  /// declared names. Each is lowered from its embedded specs/*.cta text
+  /// when make() asks for it; constructing the registry lowers nothing.
   static ProtocolRegistry with_builtins();
 
   /// Registers a factory under `name`; `origin` is shown by `ctaver list`
@@ -57,5 +60,8 @@ class ProtocolRegistry {
 
   std::vector<Entry> entries_;
 };
+
+/// The built-in model `name` (e.g. "CC85a"): with_builtins().make(name).
+protocols::ProtocolModel builtin(const std::string& name);
 
 }  // namespace ctaver::frontend

@@ -205,14 +205,15 @@ void Journal::run_end(const std::string& run_id, int exit_code) {
 }
 
 void Journal::index(const Json& rec) {
-  const std::string kind = rec.get("rec");
-  if (kind != "run-start" && kind != "run-end" && kind != "obligation") {
+  const std::string type = rec.get("rec");
+  if (type != "run-start" && type != "run-end" && type != "obligation") {
     return;
   }
   RunIndex& run = runs_[rec.get("run")];
-  if (kind == "run-start") {
+  if (type == "run-start") {
     run.started = true;
-  } else if (kind == "run-end") {
+    run.kind = rec.get("kind");
+  } else if (type == "run-end") {
     run.finished = true;
   } else {
     const std::string key = rec.get("key");
@@ -234,10 +235,12 @@ bool Journal::run_finished(const std::string& run_id) const {
   return it != runs_.end() && it->second.finished;
 }
 
-std::size_t Journal::unfinished_runs() const {
+std::size_t Journal::unfinished_runs(const std::string& kind) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t n = 0;
-  for (const auto& [id, run] : runs_) n += run.started && !run.finished;
+  for (const auto& [id, run] : runs_) {
+    n += run.started && !run.finished && (kind.empty() || run.kind == kind);
+  }
   return n;
 }
 

@@ -98,8 +98,9 @@ class Journal {
   [[nodiscard]] bool run_started(const std::string& run_id) const;
   [[nodiscard]] bool run_finished(const std::string& run_id) const;
   /// Distinct runs with a run-start record and no run-end: the runs a crash
-  /// cut short (plus, on a live handle, runs currently in flight).
-  [[nodiscard]] std::size_t unfinished_runs() const;
+  /// cut short (plus, on a live handle, runs currently in flight). Counts
+  /// only runs of `kind` ("verify" or "submit") when one is given.
+  [[nodiscard]] std::size_t unfinished_runs(const std::string& kind = "") const;
   /// Distinct ProofCache keys journaled as durable completions of `run_id`.
   [[nodiscard]] std::vector<std::string> run_obligations(
       const std::string& run_id) const;
@@ -114,6 +115,7 @@ class Journal {
   struct RunIndex {
     bool started = false;
     bool finished = false;
+    std::string kind;  // the run-start record's "verify" | "submit"
     std::vector<std::string> keys;  // distinct, in first-journaled order
   };
 

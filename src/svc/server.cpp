@@ -383,8 +383,7 @@ bool Server::handle_submit(int fd, const protocols::ProtocolModel& pm) {
 
   // Fan out one pipeline run per obligation on the shared pool, then
   // finish() them in canonical order: obligation k's verdict streams out as
-  // soon as runs 1..k land while later obligations are still proving. The
-  // runs vector's destructor abandons the tail if the client goes away.
+  // soon as runs 1..k land while later obligations are still proving.
   std::vector<verify::ProtocolRun> runs;
   runs.reserve(keys.size());
   for (const verify::ObligationKey& k : keys) {
@@ -428,8 +427,12 @@ bool Server::handle_submit(int fd, const protocols::ProtocolModel& pm) {
            << obs::json_escape(verify::obligation_line(o)) << "\"}";
         if (!send_line(fd, ev.str())) {
           // Client gone: cancel the submission's budget so the remaining
-          // runs cut down fast, then let ~ProtocolRun abandon them.
+          // runs cut down fast, abandon them (~ProtocolRun waits for their
+          // tasks), then journal the run as interrupted — left without a
+          // run-end it would read as unfinished forever.
           budget.cancel.cancel();
+          runs.clear();
+          run_store.end_run(130);
           return false;
         }
         (agg.*p.member).obligations.push_back(std::move(o));

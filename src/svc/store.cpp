@@ -43,7 +43,9 @@ bool DurableStore::resume(const std::vector<verify::ObligationKey>& keys,
             " obligation(s) already durable; re-proving the rest";
     return true;
   }
-  if (j.unfinished_runs() > 0) {
+  // Only another `verify` run is a mismatch: a daemon's unfinished
+  // submission in the same directory is the daemon's to report.
+  if (j.unfinished_runs("verify") > 0) {
     *note =
         "--resume: the journal's unfinished run was started with different "
         "specs or options (run id mismatch); re-run the original command "

@@ -35,7 +35,8 @@ class DurableStore final : public verify::ResultStore {
   }
 
   /// --resume's message for the run `keys` name; false when the journal's
-  /// unfinished run is another one (the caller refuses). Needs journal().
+  /// unfinished `verify` run is another one (the caller refuses). Needs
+  /// journal().
   bool resume(const std::vector<verify::ObligationKey>& keys,
               std::string* note) const;
 

@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "frontend/registry.h"
 #include "protocols/protocols.h"
 #include "svc/client.h"
 #include "svc/journal.h"
@@ -104,11 +105,11 @@ bool crash_verify_in_child(const std::string& cache_dir, int hit,
     svc::DurableStore store(cache_dir);
     store.open_journal(nullptr);
     svc::DurableStore run = store.begin_run(
-        verify::obligation_cache_keys(protocols::naive_voting(), base),
+        verify::obligation_cache_keys(frontend::builtin("NaiveVoting"), base),
         "verify", "NaiveVoting");
     verify::Options opts = base;
     opts.store = &run;
-    verify::verify_protocol(protocols::naive_voting(), opts);
+    verify::verify_protocol(frontend::builtin("NaiveVoting"), opts);
     ::_exit(0);  // reached only if the fault never fired
   }
   int status = 0;
@@ -127,7 +128,7 @@ bool crash_verify_in_child(const std::string& cache_dir, int hit,
 // report is byte-identical to a cold run — for every (jobs, workers) in
 // {1,2,8}^2.
 TEST(CrashResume, KilledVerifyResumesByteIdenticalAcrossMatrix) {
-  protocols::ProtocolModel pm = protocols::naive_voting();
+  protocols::ProtocolModel pm = frontend::builtin("NaiveVoting");
   const std::string cold = render(verify::verify_protocol(pm, {}));
   // Hit 12 of schema.encode lands mid-run for NaiveVoting (total hits are
   // deterministic and exceed it); jobs=1 additionally guarantees at least
@@ -187,7 +188,7 @@ TEST(CrashResume, KilledVerifyResumesByteIdenticalAcrossMatrix) {
 // be durable when the kill lands, so resume provably replays (not merely
 // re-proves) part of the run.
 TEST(CrashResume, PartialDurabilitySurvivesTheKill) {
-  protocols::ProtocolModel pm = protocols::naive_voting();
+  protocols::ProtocolModel pm = frontend::builtin("NaiveVoting");
   TempDir dir;
   verify::Options base = matrix_options(1, 1);
   ASSERT_TRUE(crash_verify_in_child(dir.str(), 12, base));
@@ -286,7 +287,7 @@ TEST(CrashResume, KilledDaemonRestartsOnStaleSocketAndResumes) {
   EXPECT_EQ(svc::submit_specs(socket_path, {"NaiveVoting"}, out2, err2), 1)
       << err2.str();
   verify::ProtocolReport direct =
-      verify::verify_protocol(protocols::naive_voting(), {});
+      verify::verify_protocol(frontend::builtin("NaiveVoting"), {});
   std::vector<std::string> want;
   for (const verify::PropertyResult* p :
        {&direct.agreement, &direct.validity, &direct.termination}) {

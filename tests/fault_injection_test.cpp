@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "frontend/registry.h"
 #include "protocols/protocols.h"
 #include "schema/checker.h"
 #include "util/cancel.h"
@@ -163,7 +164,7 @@ void check_containment(const std::string& site, const ProtocolReport& clean) {
       verify::Options opts = fast_options();
       opts.jobs = jobs;
       opts.schema.workers = workers;
-      ProtocolReport r = verify::verify_protocol(protocols::cc85a(), opts);
+      ProtocolReport r = verify::verify_protocol(frontend::builtin("CC85a"), opts);
 
       std::vector<const Obligation*> got = all_obligations(r);
       std::vector<const Obligation*> want = all_obligations(clean);
@@ -191,7 +192,7 @@ void check_containment(const std::string& site, const ProtocolReport& clean) {
 
 TEST_F(FaultInjection, MidEnumerationThrowIsContainedAcrossTheMatrix) {
   ProtocolReport clean =
-      verify::verify_protocol(protocols::cc85a(), fast_options());
+      verify::verify_protocol(frontend::builtin("CC85a"), fast_options());
   ASSERT_TRUE(clean.agreement.holds() && clean.validity.holds() &&
               clean.termination.holds());
   check_containment("schema.encode", clean);
@@ -199,7 +200,7 @@ TEST_F(FaultInjection, MidEnumerationThrowIsContainedAcrossTheMatrix) {
 
 TEST_F(FaultInjection, MidSweepThrowIsContainedAcrossTheMatrix) {
   ProtocolReport clean =
-      verify::verify_protocol(protocols::cc85a(), fast_options());
+      verify::verify_protocol(frontend::builtin("CC85a"), fast_options());
   check_containment("cs.expand", clean);
 }
 
@@ -211,7 +212,7 @@ TEST_F(FaultInjection, UnitAdoptionThrowIsContained) {
       << err;
   verify::Options opts = fast_options();
   opts.schema.workers = 2;
-  ProtocolReport r = verify::verify_protocol(protocols::cc85a(), opts);
+  ProtocolReport r = verify::verify_protocol(frontend::builtin("CC85a"), opts);
   int errored = 0;
   for (const Obligation* o : all_obligations(r)) {
     if (o->error) {
@@ -227,7 +228,7 @@ TEST_F(FaultInjection, InjectedCancelNeverFlipsAVerdict) {
   // "complete" over an unexplored subtree would be unsound, and claiming a
   // counterexample would be a flipped verdict.
   ProtocolReport clean =
-      verify::verify_protocol(protocols::cc85a(), fast_options());
+      verify::verify_protocol(frontend::builtin("CC85a"), fast_options());
   for (const std::string site :
        {"lia.pivot", "schema.encode", "cs.expand"}) {
     SCOPED_TRACE(site);
@@ -236,7 +237,7 @@ TEST_F(FaultInjection, InjectedCancelNeverFlipsAVerdict) {
     ASSERT_TRUE(FaultInjector::instance().arm(site + ":1:cancel", &err))
         << err;
     ProtocolReport r =
-        verify::verify_protocol(protocols::cc85a(), fast_options());
+        verify::verify_protocol(frontend::builtin("CC85a"), fast_options());
     std::vector<const Obligation*> got = all_obligations(r);
     std::vector<const Obligation*> want = all_obligations(clean);
     ASSERT_EQ(got.size(), want.size());
@@ -259,10 +260,10 @@ TEST_F(FaultInjection, DelayActionIsByteNeutral) {
   ASSERT_TRUE(FaultInjector::instance().arm("lia.pivot:1:delay", &err))
       << err;
   ProtocolReport r =
-      verify::verify_protocol(protocols::cc85a(), fast_options());
+      verify::verify_protocol(frontend::builtin("CC85a"), fast_options());
   FaultInjector::instance().reset();
   ProtocolReport clean =
-      verify::verify_protocol(protocols::cc85a(), fast_options());
+      verify::verify_protocol(frontend::builtin("CC85a"), fast_options());
   std::vector<const Obligation*> got = all_obligations(r);
   std::vector<const Obligation*> want = all_obligations(clean);
   ASSERT_EQ(got.size(), want.size());
@@ -296,7 +297,7 @@ TEST_F(FaultInjection, RssWatchdogCutsTheRunToInconclusiveReasonMemory) {
   verify::Options opts = fast_options();
   opts.jobs = 1;
   opts.schema.max_rss_mb = 1;
-  ProtocolReport r = verify::verify_protocol(protocols::cc85a(), opts);
+  ProtocolReport r = verify::verify_protocol(frontend::builtin("CC85a"), opts);
   EXPECT_FALSE(r.agreement.holds() && r.validity.holds() &&
                r.termination.holds());
   bool saw_memory = false;
@@ -314,7 +315,7 @@ TEST_F(FaultInjection, RssWatchdogCutsTheRunToInconclusiveReasonMemory) {
 TEST_F(FaultInjection, ObligationTimeoutCutsWithoutTouchingTheBudget) {
   verify::Options opts = fast_options();
   opts.obligation_timeout_s = 1e-9;  // expired the moment each task starts
-  ProtocolReport r = verify::verify_protocol(protocols::cc85a(), opts);
+  ProtocolReport r = verify::verify_protocol(frontend::builtin("CC85a"), opts);
   bool saw_timeout = false;
   for (const Obligation* o : all_obligations(r)) {
     EXPECT_FALSE(o->error.has_value()) << o->name;
@@ -348,7 +349,7 @@ TEST_F(FaultInjection, InterruptTripsTheBudgetWithReasonInterrupt) {
 TEST_F(FaultInjection, InterruptedRunFlushesAPartialReport) {
   util::request_interrupt();
   ProtocolReport r =
-      verify::verify_protocol(protocols::cc85a(), fast_options());
+      verify::verify_protocol(frontend::builtin("CC85a"), fast_options());
   // Every obligation degrades like a budget cut; nothing throws, nothing
   // claims a verdict it did not earn.
   for (const Obligation* o : all_obligations(r)) {
@@ -367,7 +368,7 @@ TEST_F(FaultInjection, Table2RowShowsTheErrorFace) {
       FaultInjector::instance().arm("schema.encode:1:throw", &err))
       << err;
   ProtocolReport r =
-      verify::verify_protocol(protocols::cc85a(), fast_options());
+      verify::verify_protocol(frontend::builtin("CC85a"), fast_options());
   std::string row = verify::table2_row(r);
   EXPECT_NE(row.find("ERROR (1 contained)"), std::string::npos) << row;
   EXPECT_EQ(row.find("verified"), std::string::npos) << row;
@@ -380,7 +381,7 @@ TEST_F(FaultInjection, ErroredObligationIsNeverAProofOrRefutation) {
   ASSERT_TRUE(FaultInjector::instance().arm("cs.expand:1:throw", &err))
       << err;
   ProtocolReport r =
-      verify::verify_protocol(protocols::cc85a(), fast_options());
+      verify::verify_protocol(frontend::builtin("CC85a"), fast_options());
   for (const Obligation* o : all_obligations(r)) {
     if (!o->error) continue;
     EXPECT_FALSE(o->holds);

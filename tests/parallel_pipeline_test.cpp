@@ -276,7 +276,7 @@ TEST(ParallelPipeline, SchemaBudgetExhaustionIsInconclusiveNotWrong) {
     Options opts;
     opts.jobs = jobs;
     opts.schema.max_schemas = 1;
-    ProtocolReport r = verify_protocol(protocols::cc85a(), opts);
+    ProtocolReport r = verify_protocol(frontend::builtin("CC85a"), opts);
     for (const PropertyResult* p :
          {&r.agreement, &r.validity, &r.termination}) {
       EXPECT_FALSE(p->has_counterexample()) << "jobs=" << jobs;
@@ -301,7 +301,7 @@ TEST(ParallelPipeline, TimeBudgetExhaustionCancelsSweepsInconclusively) {
     Options opts;
     opts.jobs = jobs;
     opts.schema.time_budget_s = 0.0;
-    ProtocolReport r = verify_protocol(protocols::cc85a(), opts);
+    ProtocolReport r = verify_protocol(frontend::builtin("CC85a"), opts);
     for (const PropertyResult* p :
          {&r.agreement, &r.validity, &r.termination}) {
       EXPECT_FALSE(p->holds()) << "jobs=" << jobs;
@@ -328,9 +328,9 @@ TEST(ParallelPipeline, AutoJobsSmoke) {
   // serial rendering like any other width.
   Options opts;
   opts.jobs = 1;
-  std::string serial = render(verify_protocol(protocols::fmr05(), opts));
+  std::string serial = render(verify_protocol(frontend::builtin("FMR05"), opts));
   opts.jobs = 0;
-  std::string auto_jobs = render(verify_protocol(protocols::fmr05(), opts));
+  std::string auto_jobs = render(verify_protocol(frontend::builtin("FMR05"), opts));
   EXPECT_EQ(serial, auto_jobs);
 }
 

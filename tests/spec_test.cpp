@@ -2,6 +2,7 @@
 // location sets the named conditions select.
 #include <gtest/gtest.h>
 
+#include "frontend/registry.h"
 #include "protocols/protocols.h"
 #include "spec/spec.h"
 #include "ta/transforms.h"
@@ -11,7 +12,7 @@ namespace {
 
 ta::System cc85a_rd() {
   return ta::single_round(
-      ta::nonprobabilistic(protocols::cc85a().system));
+      ta::nonprobabilistic(frontend::builtin("CC85a").system));
 }
 
 TEST(Spec, Inv1SelectsDecisionsAndOppositeFinals) {
@@ -51,7 +52,7 @@ TEST(Spec, C2IsInv2AtOppositeValue) {
 }
 
 TEST(Spec, BindingUsesNamedLocations) {
-  protocols::ProtocolModel pm = protocols::aby22();
+  protocols::ProtocolModel pm = frontend::builtin("ABY22");
   ta::System rd = ta::single_round(ta::nonprobabilistic(pm.system));
   Spec s = binding(rd, "CB2", pm.n0_loc, pm.m1_loc);
   EXPECT_EQ(s.premise.locs.size(), 1u);

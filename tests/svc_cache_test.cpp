@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "frontend/lower.h"
+#include "frontend/registry.h"
 #include "protocols/protocols.h"
 #include "svc/proof_cache.h"
 #include "svc/store.h"
@@ -115,7 +116,7 @@ TEST(Sha256, KnownVectors) {
 // and re-pin when that is intentional; any accidental drift silently
 // invalidates every user's proof cache.
 TEST(CacheKey, GoldenValuesNaiveVoting) {
-  std::vector<verify::ObligationKey> keys = keys_of(protocols::naive_voting());
+  std::vector<verify::ObligationKey> keys = keys_of(frontend::builtin("NaiveVoting"));
   ASSERT_EQ(keys.size(), 6u);
   const char* expected[][3] = {
       {"Inv1(v=0)", "parametric",
@@ -483,7 +484,7 @@ TEST(PipelineCache, WarmResubmissionReprovesOnlyChangedObligations) {
 }
 
 TEST(PipelineCache, HitPathBytesMatchColdRunAcrossJobsAndWorkers) {
-  protocols::ProtocolModel pm = protocols::naive_voting();
+  protocols::ProtocolModel pm = frontend::builtin("NaiveVoting");
   verify::Options plain;
   std::string cold = render(verify::verify_protocol(pm, plain));
 
@@ -518,7 +519,7 @@ TEST(PipelineCache, HitPathBytesMatchColdRunAcrossJobsAndWorkers) {
 TEST(PipelineCache, ReplayedCounterexampleReplaysByteIdentically) {
   // replay_ce recomputes the concretization on every run — a cache hit
   // must re-run it deterministically, not store it.
-  protocols::ProtocolModel pm = protocols::naive_voting();
+  protocols::ProtocolModel pm = frontend::builtin("NaiveVoting");
   verify::Options opts;
   opts.replay_ce = true;
   verify::ProtocolReport cold = verify::verify_protocol(pm, opts);
@@ -540,7 +541,7 @@ TEST(PipelineCache, ReplayedCounterexampleReplaysByteIdentically) {
 TEST(Pipeline, UnknownOnlyObligationNameThrows) {
   verify::Options opts;
   opts.only_obligations = {"NoSuchObligation"};
-  EXPECT_THROW(verify::verify_protocol(protocols::naive_voting(), opts),
+  EXPECT_THROW(verify::verify_protocol(frontend::builtin("NaiveVoting"), opts),
                std::invalid_argument);
   // Sweep names stay valid vocabulary even when sweeps are disabled: the
   // plan is silently empty for them, but the name is not an error.
@@ -548,7 +549,7 @@ TEST(Pipeline, UnknownOnlyObligationNameThrows) {
   ok.only_obligations = {"C1"};
   ok.run_sweeps = false;
   verify::ProtocolReport r =
-      verify::verify_protocol(protocols::naive_voting(), ok);
+      verify::verify_protocol(frontend::builtin("NaiveVoting"), ok);
   EXPECT_TRUE(r.termination.obligations.empty());
 }
 

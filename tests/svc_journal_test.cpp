@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "frontend/registry.h"
 #include "protocols/protocols.h"
 #include "svc/journal.h"
 #include "svc/proof_cache.h"
@@ -62,7 +63,7 @@ void append_raw(const fs::path& p, const std::string& bytes) {
 }
 
 std::vector<verify::ObligationKey> naive_keys() {
-  return verify::obligation_cache_keys(protocols::naive_voting());
+  return verify::obligation_cache_keys(frontend::builtin("NaiveVoting"));
 }
 
 TEST(Journal, CreatesHeaderAndAppendsSurviveReopen) {
@@ -285,7 +286,7 @@ std::string render(const verify::ProtocolReport& r) {
 }
 
 TEST(JournalPipeline, EveryDurableVerdictLandsARecord) {
-  protocols::ProtocolModel pm = protocols::naive_voting();
+  protocols::ProtocolModel pm = frontend::builtin("NaiveVoting");
   TempDir dir;
   DurableStore store(dir.str());
   std::string err;
@@ -333,7 +334,7 @@ TEST(JournalPipeline, PartialDurabilityResumesByteIdentical) {
   // with a full run, then surgically delete half the proof entries and
   // journal only the survivors. The "resume" run must re-prove exactly
   // the missing ones and render byte-identically to a cold run.
-  protocols::ProtocolModel pm = protocols::naive_voting();
+  protocols::ProtocolModel pm = frontend::builtin("NaiveVoting");
   std::string cold = render(verify::verify_protocol(pm, {}));
 
   TempDir dir;
@@ -384,6 +385,30 @@ TEST(JournalPipeline, PartialDurabilityResumesByteIdentical) {
   EXPECT_TRUE(after.run_finished(run));
   EXPECT_EQ(after.run_obligations(run).size(), 6u);
   EXPECT_EQ(after.unfinished_runs(), 0u);
+}
+
+// A daemon's unfinished submission shares the cache dir with `verify` but
+// is not a `verify --resume` candidate: resume runs cold instead of
+// refusing with a run id mismatch. An unfinished verify run still refuses.
+TEST(JournalPipeline, UnfinishedSubmissionDoesNotBlockResume) {
+  TempDir dir;
+  std::vector<verify::ObligationKey> keys = naive_keys();
+  {
+    Journal j(dir.str());
+    j.run_start(journal_run_id({keys[0]}), "submit", "NaiveVoting", 1);
+  }
+  DurableStore store(dir.str());
+  ASSERT_TRUE(store.open_journal(nullptr));
+  EXPECT_EQ(store.journal()->unfinished_runs(), 1u);
+  EXPECT_EQ(store.journal()->unfinished_runs("submit"), 1u);
+  EXPECT_EQ(store.journal()->unfinished_runs("verify"), 0u);
+  std::string note;
+  EXPECT_TRUE(store.resume(keys, &note));
+  EXPECT_EQ(note, "--resume: no unfinished run in the journal; running cold");
+
+  DurableStore killed = store.begin_run({keys[1]}, "verify", "NaiveVoting");
+  EXPECT_FALSE(store.resume(keys, &note));
+  EXPECT_NE(note.find("run id mismatch"), std::string::npos) << note;
 }
 
 }  // namespace

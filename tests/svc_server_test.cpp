@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -26,9 +27,11 @@
 #include <thread>
 #include <vector>
 
+#include "frontend/registry.h"
 #include "obs/metrics.h"
 #include "protocols/protocols.h"
 #include "svc/client.h"
+#include "svc/journal.h"
 #include "svc/json.h"
 #include "svc/server.h"
 #include "verify/pipeline.h"
@@ -240,7 +243,7 @@ TEST(SvcServer, SubmitStreamsVerdictLinesByteIdenticalToVerify) {
 
   // The daemon's lines are the CLI's lines: same renderer, same bytes.
   verify::ProtocolReport direct =
-      verify::verify_protocol(protocols::naive_voting(), {});
+      verify::verify_protocol(frontend::builtin("NaiveVoting"), {});
   std::vector<std::string> expect_lines;
   for (const verify::PropertyResult* p :
        {&direct.agreement, &direct.validity, &direct.termination}) {
@@ -409,7 +412,7 @@ TEST(SvcServer, BlockingClientMatchesVerifyOutput) {
   EXPECT_EQ(code, 1) << err.str();
   // Header + six indented obligation lines + the Table-II row.
   verify::ProtocolReport direct =
-      verify::verify_protocol(protocols::naive_voting(), {});
+      verify::verify_protocol(frontend::builtin("NaiveVoting"), {});
   std::ostringstream expect;
   expect << "== NaiveVoting\n";
   for (const verify::PropertyResult* p :
@@ -583,6 +586,45 @@ TEST(SvcServer, StatsReportJournalSectionWhenCacheDirSet) {
   // start + 6 obligations + end, appended by this (fresh) journal.
   EXPECT_EQ(stats["journal"]["appended"].as_int(), 8);
   EXPECT_EQ(stats["journal"]["replayed"].as_int(), 0);
+  EXPECT_EQ(stats["journal"]["unfinished"].as_int(), 0);
+}
+
+// A client that hangs up mid-stream abandons its submission; the run is
+// journaled as ended with the interrupted exit code instead of staying
+// unfinished. One pool worker runs the obligations in canonical order, so
+// the client is gone (it closes right after the first event) long before
+// the second verdict (~0.3 s of MMR14 enumeration) is ready to stream.
+TEST(SvcServer, AbandonedSubmissionIsJournaledAsInterrupted) {
+  TmpCacheDir dir;
+  {
+    ServeOptions so;
+    so.cache_dir = dir.str();
+    so.verify.jobs = 1;
+    so.verify.run_sweeps = false;
+    so.verify.only_obligations = {"Inv1(v=0)", "Inv1(v=1)", "Inv2(v=0)",
+                                  "Inv2(v=1)"};
+    ServerFixture fx(std::move(so));
+    {
+      RawClient c(fx.socket_path());
+      c.send("{\"op\":\"submit\",\"spec\":\"MMR14\"}");
+      EXPECT_EQ(c.next().get("event"), "obligation");
+    }
+    EXPECT_EQ(request_shutdown(fx.socket_path(), std::cerr), 0);
+    fx.join();  // drained: the abandoned submission has returned
+  }
+  std::ifstream log(std::filesystem::path(dir.str()) / Journal::file_name());
+  std::stringstream text;
+  text << log.rdbuf();
+  EXPECT_NE(text.str().find("\"rec\":\"run-end\""), std::string::npos);
+  EXPECT_NE(text.str().find("\"exit\":130"), std::string::npos);
+
+  ServeOptions so;
+  so.cache_dir = dir.str();
+  ServerFixture restarted(std::move(so));
+  RawClient c(restarted.socket_path());
+  c.send("{\"op\":\"stats\"}");
+  Json stats = c.next();
+  ASSERT_TRUE(stats["journal"].is_object());
   EXPECT_EQ(stats["journal"]["unfinished"].as_int(), 0);
 }
 
