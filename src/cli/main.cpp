@@ -74,7 +74,8 @@ int usage(std::ostream& os, int code) {
         "options:\n"
         "  --specs DIR        register every .cta file in DIR\n"
         "  --no-sweeps        skip the explicit-instance (C1)/(C2') sweeps\n"
-        "  --max-states N     state cap per swept instance\n"
+        "  --max-states N     state cap per swept instance; an instance\n"
+        "                     that hits it is inconclusive (reason states)\n"
         "  --max-schemas N    schema cap shared by a protocol's obligations\n"
         "  --time-budget S    wall-clock budget per protocol (seconds)\n"
         "  --jobs N           obligation-scheduler workers (0 = all cores,\n"

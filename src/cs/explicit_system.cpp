@@ -5,20 +5,6 @@
 
 namespace ctaver::cs {
 
-std::size_t ConfigHash::operator()(const Config& c) const {
-  // FNV-1a over both counter vectors.
-  std::size_t h = 1469598103934665603ULL;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
-  for (int32_t k : c.kappa) mix(static_cast<std::uint64_t>(k));
-  for (long long v : c.g) mix(static_cast<std::uint64_t>(v));
-  return h;
-}
-
 ExplicitSystem::ExplicitSystem(const ta::System& sys,
                                std::vector<long long> params, int rounds)
     : sys_(&sys),
@@ -34,65 +20,52 @@ ExplicitSystem::ExplicitSystem(const ta::System& sys,
   }
   num_processes_ = sys.env.num_processes.eval(params_);
   num_coins_ = sys.env.num_coins.eval(params_);
-}
-
-int ExplicitSystem::dest_round(bool coin, const ta::Rule& r, int from_round,
-                               ta::LocId target) const {
-  if (!r.is_round_switch) return from_round;
-  const ta::Location& dst =
-      automaton(coin).locations[static_cast<std::size_t>(target)];
-  // In single-round systems (Def. 3) the S′ rules target border *copies*
-  // and stay within the round.
-  return dst.role == ta::LocRole::kBorder ? from_round + 1 : from_round;
-}
-
-bool ExplicitSystem::unlocked(const Config& c, const Action& a) const {
-  const ta::Rule& r =
-      automaton(a.coin).rules[static_cast<std::size_t>(a.rule)];
-  const int base = a.round * static_cast<int>(sys_->vars.size());
-  for (const ta::Guard& guard : r.guards) {
-    long long lhs = 0;
-    for (const auto& [v, b] : guard.lhs) {
-      lhs += b * c.g[static_cast<std::size_t>(base + v)];
-    }
-    long long rhs = guard.rhs.eval(params_);
-    bool ok = guard.rel == ta::GuardRel::kGe ? lhs >= rhs : lhs < rhs;
-    if (!ok) return false;
+  n_proc_rules_ = static_cast<int>(sys.process.rules.size());
+  rules_per_round_ = n_proc_rules_ + static_cast<int>(sys.coin.rules.size());
+  for (int k = 0; k < rounds_ * rules_per_round_; ++k) {
+    const int r = k % rules_per_round_;
+    const bool coin = r >= n_proc_rules_;
+    moves_.push_back(compile({coin, coin ? r - n_proc_rules_ : r,
+                              k / rules_per_round_}));
   }
-  return true;
 }
 
-bool ExplicitSystem::applicable(const Config& c, const Action& a) const {
+Move ExplicitSystem::compile(const Action& a) const {
   const ta::Rule& r =
       automaton(a.coin).rules[static_cast<std::size_t>(a.rule)];
-  if (a.round < 0 || a.round >= rounds_) return false;
-  if (kappa(c, a.coin, r.from, a.round) < 1) return false;
-  // A round-switch out of the last modeled round is truncated.
+  const int nvars = static_cast<int>(sys_->vars.size());
+  // Zero-update self-loops never change the configuration (see the header).
+  const bool self_loop = r.is_dirac() && r.to.dirac_target() == r.from &&
+                         r.has_zero_update() && !r.is_round_switch;
+  Move m{a, &r, self_loop, false,
+         a.round * locs_per_round() + gloc(a.coin, r.from),
+         kappa_lanes() + a.round * nvars, {}, {}, {}};
   for (const auto& [to, p] : r.to.outcomes) {
     (void)p;
-    if (dest_round(a.coin, r, a.round, to) >= rounds_) return false;
+    // Round-switch rules into kBorder locations cross to the next round; in
+    // single-round systems (Def. 3) the S′ rules target border *copies* and
+    // stay within the round. A switch out of the last round is truncated.
+    const ta::Location& dst =
+        automaton(a.coin).locations[static_cast<std::size_t>(to)];
+    int to_round = a.round + (r.is_round_switch &&
+                              dst.role == ta::LocRole::kBorder);
+    m.truncated = m.truncated || to_round >= rounds_;
+    m.dst.push_back(to_round * locs_per_round() + gloc(a.coin, to));
   }
-  return unlocked(c, a);
-}
-
-bool ExplicitSystem::is_self_loop(bool coin, ta::RuleId rule) const {
-  const ta::Rule& r = automaton(coin).rules[static_cast<std::size_t>(rule)];
-  return r.is_dirac() && r.to.dirac_target() == r.from &&
-         r.has_zero_update() && !r.is_round_switch;
+  for (ta::VarId v = 0; v < nvars; ++v) {
+    if (r.update_of(v) != 0) m.update.emplace_back(m.gbase + v, r.update_of(v));
+  }
+  for (const ta::Guard& g : r.guards) m.rhs.push_back(g.rhs.eval(params_));
+  return m;
 }
 
 std::vector<Action> ExplicitSystem::applicable_actions(
     const Config& c, bool include_self_loops) const {
   std::vector<Action> out;
-  for (int round = 0; round < rounds_; ++round) {
-    for (bool coin : {false, true}) {
-      const ta::Automaton& a = automaton(coin);
-      for (ta::RuleId r = 0; r < static_cast<ta::RuleId>(a.rules.size());
-           ++r) {
-        if (!include_self_loops && is_self_loop(coin, r)) continue;
-        Action act{coin, r, round};
-        if (applicable(c, act)) out.push_back(act);
-      }
+  for (const Move& m : moves_) {
+    if (!include_self_loops && m.self_loop) continue;
+    if (m.applicable([&](int i) { return lane(c, i); })) {
+      out.push_back(m.action);
     }
   }
   return out;
@@ -100,33 +73,17 @@ std::vector<Action> ExplicitSystem::applicable_actions(
 
 Config ExplicitSystem::apply_outcome(const Config& c, const Action& a,
                                      int outcome_index) const {
-  const ta::Rule& r =
-      automaton(a.coin).rules[static_cast<std::size_t>(a.rule)];
-  const auto& [target, prob] =
-      r.to.outcomes[static_cast<std::size_t>(outcome_index)];
-  (void)prob;
-  Config out = c;
-  const int lpr = locs_per_round();
-  out.kappa[static_cast<std::size_t>(a.round * lpr + gloc(a.coin, r.from))]--;
-  int to_round = dest_round(a.coin, r, a.round, target);
-  out.kappa[static_cast<std::size_t>(to_round * lpr +
-                                     gloc(a.coin, target))]++;
-  const int base = a.round * static_cast<int>(sys_->vars.size());
-  for (ta::VarId v = 0; v < static_cast<ta::VarId>(sys_->vars.size()); ++v) {
-    long long u = r.update_of(v);
-    if (u != 0) out.g[static_cast<std::size_t>(base + v)] += u;
+  const Move& m = move(a);
+  if (m.truncated) {
+    throw std::logic_error("ExplicitSystem: " + describe(a) +
+                           " leaves the modeled rounds");
   }
-  return out;
-}
-
-std::vector<Outcome> ExplicitSystem::apply(const Config& c,
-                                           const Action& a) const {
-  const ta::Rule& r =
-      automaton(a.coin).rules[static_cast<std::size_t>(a.rule)];
-  std::vector<Outcome> out;
-  for (int i = 0; i < static_cast<int>(r.to.outcomes.size()); ++i) {
-    out.push_back(
-        {apply_outcome(c, a, i), r.to.outcomes[static_cast<std::size_t>(i)].second});
+  Config out = c;
+  out.kappa[static_cast<std::size_t>(m.src)]--;
+  out.kappa[static_cast<std::size_t>(
+      m.dst[static_cast<std::size_t>(outcome_index)])]++;
+  for (const auto& [i, u] : m.update) {
+    out.g[static_cast<std::size_t>(i - kappa_lanes())] += u;
   }
   return out;
 }
@@ -138,33 +95,27 @@ Config ExplicitSystem::empty_config() const {
   return c;
 }
 
-namespace {
-
-void compose_rec(long long remaining, int bin, int bins,
-                 std::vector<long long>& acc,
-                 std::vector<std::vector<long long>>& out) {
-  if (bin == bins - 1) {
-    acc[static_cast<std::size_t>(bin)] = remaining;
-    out.push_back(acc);
-    return;
-  }
-  for (long long k = 0; k <= remaining; ++k) {
-    acc[static_cast<std::size_t>(bin)] = k;
-    compose_rec(remaining - k, bin + 1, bins, acc, out);
-  }
-}
-
-}  // namespace
-
 std::vector<std::vector<long long>> compositions(long long total, int bins) {
   std::vector<std::vector<long long>> out;
   if (bins == 0) {
     if (total == 0) out.push_back({});
     return out;
   }
+  // Lexicographic order: the last bin holds the remainder. Step: move one
+  // token from the rightmost non-empty bin k > 0 into bin k - 1, and put
+  // the rest of bin k into the last bin.
   std::vector<long long> acc(static_cast<std::size_t>(bins), 0);
-  compose_rec(total, 0, bins, acc, out);
-  return out;
+  acc.back() = total;
+  for (;;) {
+    out.push_back(acc);
+    std::size_t k = acc.size() - 1;
+    while (k > 0 && acc[k] == 0) --k;
+    if (k == 0) return out;
+    const long long rest = acc[k] - 1;
+    acc[k] = 0;
+    ++acc[k - 1];
+    acc.back() = rest;
+  }
 }
 
 std::vector<Config> ExplicitSystem::start_configs_impl(

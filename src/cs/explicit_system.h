@@ -2,10 +2,12 @@
 // Sys(TAⁿ, PTAᶜ) for a *fixed* admissible parameter valuation (Sect. III-C).
 //
 // Configurations are counter vectors κ: L × rounds → ℕ and g: V × rounds → ℕ.
-// Actions are (rule, round) pairs; probabilistic rules yield one outcome per
-// positive-probability destination. The parametric checker (src/schema) is
-// the main verification engine; this module cross-checks it on small
-// instances and exhibits concrete attacks (the MMR14 end component).
+// Actions are (rule, round) pairs, compiled once per valuation into Moves;
+// probabilistic rules yield one outcome per positive-probability destination
+// (only the support matters to the qualitative analyses). The parametric
+// checker (src/schema) is the main verification engine; this module
+// cross-checks it on small instances and exhibits concrete attacks (the MMR14
+// end component).
 //
 // Fairness note: our automata are DAGs modulo zero-update self-loops (the
 // canonical single-round form), so firing a self-loop never changes the
@@ -15,12 +17,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "ta/model.h"
-#include "util/rational.h"
 
 namespace ctaver::cs {
 
@@ -35,10 +35,6 @@ struct Config {
   bool operator==(const Config&) const = default;
 };
 
-struct ConfigHash {
-  std::size_t operator()(const Config& c) const;
-};
-
 /// Action α = (rule, round). `coin` selects the automaton.
 struct Action {
   bool coin = false;
@@ -48,10 +44,35 @@ struct Action {
   bool operator==(const Action&) const = default;
 };
 
-/// One probabilistic outcome of applying an action.
-struct Outcome {
-  Config config;
-  util::Rational prob;
+/// An action compiled against the parameter valuation, over one flat lane
+/// space: the κ counters (lane = Config::kappa index), then the g values
+/// (lane = kappa size + Config::g index).
+struct Move {
+  Action action;
+  const ta::Rule* rule = nullptr;
+  bool self_loop = false;
+  bool truncated = false;  // a round switch out of the last modeled round
+  int src = 0;             // κ lane the process leaves
+  int gbase = 0;           // g lane of this round's first variable
+  std::vector<int> dst;    // κ lane it enters, one per outcome branch
+  std::vector<std::pair<int, long long>> update;  // (g lane, increment)
+  std::vector<long long> rhs;  // rule->guards[k].rhs, evaluated once
+
+  /// Guard truth (c, k |= φ), reading lane values through `lane(i)`.
+  template <class Lane>
+  [[nodiscard]] bool unlocked(const Lane& lane) const {
+    for (std::size_t k = 0; k < rhs.size(); ++k) {
+      const ta::Guard& g = rule->guards[k];
+      long long lhs = 0;
+      for (const auto& [v, b] : g.lhs) lhs += b * lane(gbase + v);
+      if ((lhs >= rhs[k]) != (g.rel == ta::GuardRel::kGe)) return false;
+    }
+    return true;
+  }
+  template <class Lane>
+  [[nodiscard]] bool applicable(const Lane& lane) const {
+    return !truncated && lane(src) >= 1 && unlocked(lane);
+  }
 };
 
 class ExplicitSystem {
@@ -84,19 +105,35 @@ class ExplicitSystem {
         round * static_cast<int>(sys_->vars.size()) + v)];
   }
 
+  /// Every (rule, round) action compiled, ordered by round, then process
+  /// before coin, then rule id: the order applicable_actions reports.
+  [[nodiscard]] const std::vector<Move>& moves() const { return moves_; }
+  [[nodiscard]] const Move& move(const Action& a) const {
+    return moves_[static_cast<std::size_t>(
+        a.round * rules_per_round_ + (a.coin ? n_proc_rules_ : 0) + a.rule)];
+  }
+  /// Number of κ lanes; the g lanes follow them.
+  [[nodiscard]] int kappa_lanes() const { return rounds_ * locs_per_round(); }
+  [[nodiscard]] long long lane(const Config& c, int i) const {
+    return i < kappa_lanes() ? c.kappa[static_cast<std::size_t>(i)]
+                             : c.g[static_cast<std::size_t>(i - kappa_lanes())];
+  }
+
   /// Guard truth in configuration c for round k (c, k |= φ).
-  [[nodiscard]] bool unlocked(const Config& c, const Action& a) const;
-  [[nodiscard]] bool applicable(const Config& c, const Action& a) const;
+  [[nodiscard]] bool unlocked(const Config& c, const Action& a) const {
+    return move(a).unlocked([&](int i) { return lane(c, i); });
+  }
+  [[nodiscard]] bool applicable(const Config& c, const Action& a) const {
+    return a.round >= 0 && a.round < rounds_ &&
+           move(a).applicable([&](int i) { return lane(c, i); });
+  }
 
   /// All applicable actions across all rounds. Zero-update self-loops are
   /// skipped unless `include_self_loops` (they are configuration no-ops).
   [[nodiscard]] std::vector<Action> applicable_actions(
       const Config& c, bool include_self_loops = false) const;
 
-  /// Applies an action; one Outcome per positive-probability destination.
-  [[nodiscard]] std::vector<Outcome> apply(const Config& c,
-                                           const Action& a) const;
-  /// Applies a specific outcome branch (by index into the distribution).
+  /// Applies one outcome branch (by index into the rule's distribution).
   [[nodiscard]] Config apply_outcome(const Config& c, const Action& a,
                                      int outcome_index) const;
 
@@ -121,17 +158,11 @@ class ExplicitSystem {
   [[nodiscard]] std::string describe(const Config& c) const;
   [[nodiscard]] std::string describe(const Action& a) const;
 
-  /// True iff this rule is a zero-update self-loop.
-  [[nodiscard]] bool is_self_loop(bool coin, ta::RuleId rule) const;
-
  private:
   [[nodiscard]] const ta::Automaton& automaton(bool coin) const {
     return coin ? sys_->coin : sys_->process;
   }
-  /// Destination round of a rule fired in round k (round-switch rules into
-  /// kBorder locations cross to k + 1; everything else stays).
-  [[nodiscard]] int dest_round(bool coin, const ta::Rule& r, int from_round,
-                               ta::LocId target) const;
+  [[nodiscard]] Move compile(const Action& a) const;
   /// Shared implementation of initial_configs / border_start_configs.
   [[nodiscard]] std::vector<Config> start_configs_impl(ta::LocRole role) const;
 
@@ -142,6 +173,9 @@ class ExplicitSystem {
   int n_coin_locs_;
   long long num_processes_;
   long long num_coins_;
+  int n_proc_rules_;
+  int rules_per_round_;
+  std::vector<Move> moves_;
 };
 
 /// All ways to place `total` identical tokens into `bins` bins.

@@ -53,6 +53,11 @@ const char* counter_name(Counter c) {
     case Counter::kCacheMisses: return "cache.misses";
     case Counter::kCacheStores: return "cache.stores";
     case Counter::kCacheCorrupt: return "cache.corrupt";
+    case Counter::kCsStates: return "cs.states";
+    case Counter::kCsEdges: return "cs.edges";
+    case Counter::kCsOutcomes: return "cs.outcomes";
+    case Counter::kCsBuildMicros: return "cs.build_micros";
+    case Counter::kCsGameMicros: return "cs.game_micros";
     case Counter::kCount_: break;
   }
   return "?";
@@ -61,6 +66,7 @@ const char* counter_name(Counter c) {
 const char* gauge_name(Gauge g) {
   switch (g) {
     case Gauge::kPoolMaxQueueDepth: return "pool.max_queue_depth";
+    case Gauge::kCsGraphBytes: return "cs.graph_bytes";
     case Gauge::kCount_: break;
   }
   return "?";

@@ -73,6 +73,11 @@ enum class Counter : int {
   kCacheMisses,         // cache.misses: obligations that had to be proved
   kCacheStores,         // cache.stores: verdicts written into the cache
   kCacheCorrupt,        // cache.corrupt: disk entries rejected (-> miss)
+  kCsStates,            // cs.states: explicit states interned
+  kCsEdges,             // cs.edges: (state, action) edges built
+  kCsOutcomes,          // cs.outcomes: outcome successors of those edges
+  kCsBuildMicros,       // cs.build_micros: wall micros building graphs
+  kCsGameMicros,        // cs.game_micros: wall micros solving games
   kCount_,
 };
 constexpr int kNumCounters = static_cast<int>(Counter::kCount_);
@@ -80,6 +85,7 @@ const char* counter_name(Counter c);
 
 enum class Gauge : int {
   kPoolMaxQueueDepth,  // pool.max_queue_depth: high-water deque length
+  kCsGraphBytes,       // cs.graph_bytes: largest explicit graph's bytes
   kCount_,
 };
 constexpr int kNumGauges = static_cast<int>(Gauge::kCount_);

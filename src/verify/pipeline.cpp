@@ -11,7 +11,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "cs/explicit_system.h"
 #include "cs/state_graph.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -51,119 +50,7 @@ Obligation from_check(const std::string& name,
   return o;
 }
 
-/// Final locations of value v (E_v and D_v) in the single-round system.
-std::vector<ta::LocId> finals_of(const ta::System& rd, int v) {
-  std::vector<ta::LocId> out;
-  const ta::Automaton& a = rd.process;
-  for (ta::LocId l = 0; l < static_cast<ta::LocId>(a.locations.size()); ++l) {
-    const ta::Location& loc = a.locations[static_cast<std::size_t>(l)];
-    if (loc.role == ta::LocRole::kFinal && loc.value == v) out.push_back(l);
-  }
-  return out;
-}
-
-/// (C1) on one instance: from every round-entry configuration, whatever the
-/// (fair) adversary does, some probabilistic resolution satisfies
-/// (G no F_0-state) ∨ (G no F_1-state). The disjunction is path-adaptive —
-/// which side stays clean may depend on the adversary's moves — so the game
-/// runs on the product of the state graph with "touched" flags.
-bool check_c1_instance(const ta::System& rd,
-                       const std::vector<long long>& params,
-                       std::size_t max_states,
-                       const util::CancelSource* cancel) {
-  cs::ExplicitSystem es(rd, params, 1);
-  cs::StateGraph g(es, es.border_start_configs(), max_states, cancel);
-  std::vector<ta::LocId> f0 = finals_of(rd, 0);
-  std::vector<ta::LocId> f1 = finals_of(rd, 1);
-  auto touch = [&](const cs::Config& c) {
-    int flags = 0;
-    for (ta::LocId l : f0) {
-      if (es.kappa(c, false, l, 0) > 0) flags |= 1;
-    }
-    for (ta::LocId l : f1) {
-      if (es.kappa(c, false, l, 0) > 0) flags |= 2;
-    }
-    return flags;
-  };
-  // win(s, flags): the outcome player keeps one side untouched forever.
-  std::vector<signed char> memo(g.num_states() * 4, -1);
-  std::function<bool(std::size_t, int)> win = [&](std::size_t s,
-                                                  int flags) -> bool {
-    flags |= touch(g.config(s));
-    if (flags == 3) return false;
-    signed char& m = memo[s * 4 + static_cast<std::size_t>(flags)];
-    if (m != -1) return m == 1;
-    m = 1;  // DAG: no cycles, safe to pre-set (overwritten below)
-    bool ok = true;
-    for (const cs::StateGraph::Edge& e : g.edges(s)) {
-      bool some = false;
-      for (const auto& [succ, prob] : e.outcomes) {
-        (void)prob;
-        if (win(succ, flags)) {
-          some = true;
-          break;
-        }
-      }
-      if (!some) {
-        ok = false;
-        break;
-      }
-    }
-    m = ok ? 1 : 0;
-    return ok;
-  };
-  for (std::size_t s : g.initial_states()) {
-    if (!win(s, 0)) return false;
-  }
-  return true;
-}
-
-/// (C2′) on one instance: if all correct processes start the round with v,
-/// then whatever the adversary does, some resolution has every finishing
-/// process decide v (no process ever enters F \ D_v).
-bool check_c2prime_instance(const ta::System& rd,
-                            const std::vector<long long>& params,
-                            std::size_t max_states,
-                            const util::CancelSource* cancel) {
-  cs::ExplicitSystem es(rd, params, 1);
-  for (int v : {0, 1}) {
-    if (cancel != nullptr) cancel->check();
-    // The unique border-start configuration with everyone on value v.
-    std::vector<ta::LocId> bv = rd.process.locs_with(ta::LocRole::kBorder, v);
-    std::vector<cs::Config> starts;
-    for (const cs::Config& c : es.border_start_configs()) {
-      long long here = 0;
-      for (ta::LocId l : bv) here += es.kappa(c, false, l, 0);
-      if (here == es.num_processes()) starts.push_back(c);
-    }
-    cs::StateGraph g(es, starts, max_states, cancel);
-    // bad: some process in a final location other than D_v.
-    std::vector<ta::LocId> bad_locs;
-    const ta::Automaton& a = rd.process;
-    for (ta::LocId l = 0; l < static_cast<ta::LocId>(a.locations.size());
-         ++l) {
-      const ta::Location& loc = a.locations[static_cast<std::size_t>(l)];
-      if (loc.role != ta::LocRole::kFinal) continue;
-      if (loc.decision && loc.value == v) continue;
-      bad_locs.push_back(l);
-    }
-    auto bad = g.mark([&](const cs::Config& c) {
-      for (ta::LocId l : bad_locs) {
-        if (es.kappa(c, false, l, 0) > 0) return true;
-      }
-      return false;
-    });
-    std::vector<bool> win = g.forall_adversary_exists_safe(bad);
-    for (std::size_t s : g.initial_states()) {
-      if (!win[s]) return false;
-    }
-  }
-  return true;
-}
-
-using SweepCheckFn = bool (*)(const ta::System&,
-                              const std::vector<long long>&, std::size_t,
-                              const util::CancelSource*);
+using SweepCheckFn = decltype(&cs::check_c1_instance);
 
 /// Per-obligation deadline (Options::obligation_timeout_s): a CancelSource
 /// that combines the shared budget with this one task's wall-clock deadline,
@@ -241,6 +128,8 @@ struct TaskRun {
   std::exception_ptr error;
   /// This task's own TaskDeadline tripped (not the shared budget).
   bool timed_out = false;
+  /// A sweep graph outgrew Options::max_states: a budget cut, not an error.
+  bool states_cut = false;
   /// Scheduler-side wall time around the whole body; attributes even
   /// budget-cancelled work (check_spec's own seconds die with the throw).
   double seconds = 0.0;
@@ -329,12 +218,14 @@ void merge_sweep(SweepTask& t, const schema::SharedBudget& budget) {
   o.seconds = 0.0;
   bool any_started = false;
   bool timed_out = false;
+  bool states_cut = false;
   std::vector<std::string> swept;
   std::vector<std::string> failed;
   for (std::size_t i = 0; i < t.instances.size(); ++i) {
     const SweepInstanceResult& inst = t.instances[i];
     any_started = any_started || inst.run.started;
     timed_out = timed_out || inst.run.timed_out;
+    states_cut = states_cut || inst.run.states_cut;
     std::string tag = instance_tag(t.pm->sweep_params[i]);
     if (inst.run.error) {
       // Contained internal failure in this instance: the sweep is
@@ -357,8 +248,9 @@ void merge_sweep(SweepTask& t, const schema::SharedBudget& budget) {
           o.holds = false;
           break;
         case SweepInstanceResult::Status::kSkipped:
-          // Budget-cancelled before (or while) this instance ran: the sweep
-          // is inconclusive, never a refutation.
+          // Budget-cancelled before (or while) this instance ran, or its
+          // graph outgrew max_states: the sweep is inconclusive, never a
+          // refutation.
           tag += "=SKIP";
           o.holds = false;
           o.complete = false;
@@ -374,7 +266,9 @@ void merge_sweep(SweepTask& t, const schema::SharedBudget& budget) {
                               : Obligation::RunState::kSkipped;
   if (o.run_state == Obligation::RunState::kCancelled ||
       o.run_state == Obligation::RunState::kSkipped) {
-    o.cut_reason = timed_out ? "obligation-timeout" : budget.reason_str();
+    o.cut_reason = timed_out    ? "obligation-timeout"
+                   : states_cut ? "states"
+                                : budget.reason_str();
   }
   if (timed_out) obs::add(obs::Counter::kWatchdogTimeoutCuts);
   o.detail = "instances " + util::join(swept, " ");
@@ -540,15 +434,15 @@ struct ProtocolRun::Impl {
           add_check(report.termination, rd, spec::c2(rd, v));
         }
         if (opts.run_sweeps) {
-          add_sweep(report.termination, "C1", rd_prob, &check_c1_instance);
+          add_sweep(report.termination, "C1", rd_prob, &cs::check_c1_instance);
         }
         break;
       }
       case Category::kB: {
         if (opts.run_sweeps) {
-          add_sweep(report.termination, "C1", rd_prob, &check_c1_instance);
+          add_sweep(report.termination, "C1", rd_prob, &cs::check_c1_instance);
           add_sweep(report.termination, "C2'", rd_prob,
-                    &check_c2prime_instance);
+                    &cs::check_c2prime_instance);
         }
         break;
       }
@@ -575,7 +469,7 @@ struct ProtocolRun::Impl {
         add_check(report.termination, *rdr, std::move(cb4));
         if (opts.run_sweeps) {
           add_sweep(report.termination, "C2'", rd_prob,
-                    &check_c2prime_instance);
+                    &cs::check_c2prime_instance);
         }
         break;
       }
@@ -674,6 +568,8 @@ struct ProtocolRun::Impl {
         body(dl ? &*dl : nullptr);
       }
     } catch (const util::Cancelled&) {
+    } catch (const cs::StateBudgetExceeded&) {
+      run.states_cut = true;
     } catch (...) {
       run.error = std::current_exception();
     }

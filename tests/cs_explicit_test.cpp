@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <thread>
 
 #include "cs/explicit_system.h"
 #include "cs/schedule.h"
 #include "cs/state_graph.h"
+#include "frontend/registry.h"
+#include "obs/metrics.h"
 #include "ta/builder.h"
 #include "ta/transforms.h"
+#include "verify/pipeline.h"
 
 namespace ctaver::cs {
 namespace {
@@ -162,10 +166,17 @@ TEST(ExplicitSystem, ProbabilisticRuleHasTwoOutcomes) {
       1;
   Action toss{true, sys.coin.find_rule("rb"), 0};
   ASSERT_TRUE(es.applicable(c, toss));
-  auto outcomes = es.apply(c, toss);
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_EQ(outcomes[0].prob, util::Rational(1, 2));
-  EXPECT_EQ(outcomes[1].prob, util::Rational(1, 2));
+  // One branch per support point of the fair coin; probabilities stay on
+  // the rule (the analyses read only the support).
+  const ta::Rule& rb = sys.coin.rules[static_cast<std::size_t>(toss.rule)];
+  ASSERT_EQ(es.move(toss).dst.size(), 2u);
+  EXPECT_EQ(rb.to.outcomes[0].second, util::Rational(1, 2));
+  EXPECT_EQ(rb.to.outcomes[1].second, util::Rational(1, 2));
+  Config heads = es.apply_outcome(c, toss, 0);
+  Config tails = es.apply_outcome(c, toss, 1);
+  EXPECT_EQ(es.kappa(heads, true, sys.coin.find_loc("N0"), 0), 1);
+  EXPECT_EQ(es.kappa(tails, true, sys.coin.find_loc("N1"), 0), 1);
+  EXPECT_EQ(es.kappa(tails, true, sys.coin.find_loc("I2"), 0), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -269,6 +280,93 @@ TEST(StateGraph, ForallAdversaryExistsSafeOnCoinAdoption) {
   });
   auto win = g.forall_adversary_exists_safe(bad);
   for (std::size_t s : g.initial_states()) EXPECT_TRUE(win[s]);
+}
+
+TEST(StateGraph, DeepScheduleGameRunsOnADefaultStack) {
+  // One border→final rule and ~200k processes: the C1 game's plays are
+  // 200k moves deep. A solver recursing along plays overflows a default
+  // thread stack here (SIGSEGV, which no containment can catch); the
+  // worklist solver must not.
+  ta::System rd = naive_voting();
+  ta::Automaton chain;
+  chain.locations = {{"J0", ta::LocRole::kBorder, 0, false},
+                     {"D0", ta::LocRole::kFinal, 0, true}};
+  ta::Rule go;
+  go.name = "go";
+  go.from = 0;
+  go.to = ta::Distribution::dirac(1);
+  go.update.assign(rd.vars.size(), 0);
+  chain.rules = {go};
+  rd.process = chain;
+  const long long n = 200'001;  // f = 0: n modeled processes
+  bool holds = false;
+  std::thread worker(
+      [&] { holds = check_c1_instance(rd, {n, 0}, 2'000'000, nullptr); });
+  worker.join();
+  EXPECT_TRUE(holds);  // only F_0 exists, so one side stays untouched
+  ExplicitSystem es(rd, {n, 0}, 1);
+  StateGraph g(es, es.border_start_configs());
+  EXPECT_EQ(g.num_states(), static_cast<std::size_t>(n + 1));
+  EXPECT_EQ(g.lane(g.num_states() - 1, es.gloc(false, 1)), n);
+  // The state budget is a typed cut.
+  EXPECT_THROW(check_c1_instance(rd, {n, 0}, 1000, nullptr),
+               StateBudgetExceeded);
+}
+
+TEST(StateGraph, CountersMatchTheSweptGraphs) {
+  // cs.states / cs.edges / cs.outcomes equal the totals of the graphs the
+  // NaiveVoting sweep builds: one C1 graph and two C2' graphs per instance
+  // (C2' holds on every instance, so no value is skipped).
+  const protocols::ProtocolModel pm = frontend::builtin("NaiveVoting");
+  obs::Registry::global().set_enabled(true);
+  obs::Registry::global().reset();
+  verify::Options opts;
+  opts.jobs = 1;
+  opts.only_obligations = {"C1", "C2'"};
+  verify::ProtocolReport r = verify::verify_protocol(pm, opts);
+  const obs::Snapshot snap = obs::Registry::global().snapshot();
+  obs::Registry::global().set_enabled(false);
+  obs::Registry::global().reset();
+  ASSERT_EQ(r.termination.obligations.size(), 2u);
+  ASSERT_TRUE(r.termination.obligations[1].holds);
+
+  ta::System rd = ta::single_round(pm.system);
+  std::uint64_t states = 0, edges = 0, outcomes = 0, bytes = 0;
+  auto tally = [&](const ExplicitSystem& es, const std::vector<Config>& c) {
+    StateGraph g(es, c);
+    states += g.num_states();
+    bytes = std::max<std::uint64_t>(bytes, g.bytes());
+    for (std::size_t s = 0; s < g.num_states(); ++s) {
+      for (const StateGraph::Edge& e : g.edges(s)) {
+        ++edges;
+        outcomes += e.outcomes.size();
+      }
+    }
+  };
+  for (const std::vector<long long>& params : pm.sweep_params) {
+    ExplicitSystem es(rd, params, 1);
+    tally(es, es.border_start_configs());
+    for (int v : {0, 1}) {
+      std::vector<Config> starts;
+      for (const Config& c : es.border_start_configs()) {
+        long long here = 0;
+        for (LocId l : rd.process.locs_with(ta::LocRole::kBorder, v)) {
+          here += es.kappa(c, false, l, 0);
+        }
+        if (here == es.num_processes()) starts.push_back(c);
+      }
+      tally(es, starts);
+    }
+  }
+  EXPECT_GT(states, 0u);
+  EXPECT_EQ(snap.counter("cs.states"), states);
+  EXPECT_EQ(snap.counter("cs.edges"), edges);
+  EXPECT_EQ(snap.counter("cs.outcomes"), outcomes);
+  std::uint64_t graph_bytes = 0;
+  for (const auto& [name, v] : snap.gauges) {
+    if (name == "cs.graph_bytes") graph_bytes = v;
+  }
+  EXPECT_GE(graph_bytes, bytes);
 }
 
 // ---------------------------------------------------------------------------

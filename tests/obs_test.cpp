@@ -74,9 +74,13 @@ TEST_F(RegistryTest, GaugeKeepsTheMaximum) {
   gauge_max(Gauge::kPoolMaxQueueDepth, 7);
   gauge_max(Gauge::kPoolMaxQueueDepth, 5);
   Snapshot snap = Registry::global().snapshot();
-  ASSERT_EQ(snap.gauges.size(), 1u);
-  EXPECT_EQ(snap.gauges[0].first, "pool.max_queue_depth");
-  EXPECT_EQ(snap.gauges[0].second, 7u);
+  ASSERT_EQ(snap.gauges.size(), static_cast<std::size_t>(kNumGauges));
+  EXPECT_TRUE(std::is_sorted(
+      snap.gauges.begin(), snap.gauges.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; }));
+  for (const auto& [name, value] : snap.gauges) {
+    EXPECT_EQ(value, name == "pool.max_queue_depth" ? 7u : 0u) << name;
+  }
 }
 
 TEST_F(RegistryTest, HistogramBucketEdges) {

@@ -95,6 +95,30 @@ TEST(Pipeline, BudgetLimitedVerdictIsNotCE) {
   EXPECT_NE(table2_row(r).find("budget-limited"), std::string::npos);
 }
 
+TEST(Pipeline, StateBudgetIsACutNotAnError) {
+  // A sweep instance whose graph outgrows max_states is inconclusive with
+  // reason "states" (exit 1), never a contained ERROR (exit 3) or a FAIL.
+  Options opts = fast_options();
+  opts.max_states = 1000;
+  opts.only_obligations = {"C1", "C2'"};
+  ProtocolReport r = verify_protocol(frontend::builtin("CC85b"), opts);
+  ASSERT_EQ(r.termination.obligations.size(), 2u);
+  for (const Obligation& o : r.termination.obligations) {
+    EXPECT_FALSE(o.holds) << o.name;
+    EXPECT_FALSE(o.complete) << o.name;
+    EXPECT_FALSE(o.error.has_value()) << o.name;
+    EXPECT_TRUE(o.ce.empty()) << o.name;
+    EXPECT_EQ(o.run_state, Obligation::RunState::kCancelled) << o.name;
+    EXPECT_EQ(o.cut_reason, "states") << o.name;
+    EXPECT_NE(o.detail.find("=SKIP"), std::string::npos) << o.detail;
+    EXPECT_EQ(obligation_line(o),
+              o.name + ": FAIL [sweep, budget-limited (reason=states)]");
+  }
+  EXPECT_TRUE(r.termination.inconclusive());
+  EXPECT_FALSE(r.termination.has_error());
+  EXPECT_NE(table2_row(r).find("budget-limited"), std::string::npos);
+}
+
 TEST(Pipeline, PropertyResultAggregation) {
   PropertyResult pr;
   EXPECT_FALSE(pr.holds());  // no obligations -> nothing proved
